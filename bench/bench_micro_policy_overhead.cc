@@ -4,8 +4,9 @@
 // §2.6: "All of the RT-DVS algorithms ... do not require significant
 // processing costs. The dynamic schemes all require O(n) computation
 // (assuming the scheduler provides an EDF sorted task list)". Our laEDF
-// re-sorts, so it is O(n log n); this bench makes the constants and the
-// scaling visible.
+// keeps its reverse-EDF order across callbacks and re-inserts only the
+// tasks whose deadline moved, so it meets that O(n) bound too; this bench
+// makes the constants and the scaling visible.
 //
 // Two passes: a histogram pass measuring batched scheduling points into
 // fixed-bucket histograms (mean/p50/p95/p99 ns per point — tail latency is

@@ -18,6 +18,7 @@ void CcRmPolicy::OnStart(const PolicyContext& ctx, SpeedController& speed) {
     c_left_[i] = view.worst_case_remaining;  // 0 for tasks between invocations
     executed_snapshot_[i] = view.cumulative_executed;
   }
+  ids_by_period_ = ctx.tasks->IdsByPeriod();
   auto static_point = StaticScalingPoint(*ctx.tasks, *ctx.machine, SchedulerKind::kRm);
   // The pacing argument ("keep up with the worst-case statically-scaled RM
   // schedule") is only meaningful when such a schedule exists. If the set
@@ -93,7 +94,7 @@ void CcRmPolicy::AllocateCycles(const PolicyContext& ctx) {
   // and the next deadline in the system (s_m is in max-frequency work units,
   // so f_m = 1 after normalization).
   double budget = f_ss_ * std::max(0.0, ctx.EarliestDeadline() - ctx.now_ms);
-  for (int id : ctx.tasks->IdsByPeriod()) {
+  for (int id : ids_by_period_) {
     auto i = static_cast<size_t>(id);
     d_[i] = std::min(c_left_[i], budget);
     budget -= d_[i];

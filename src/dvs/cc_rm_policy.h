@@ -63,6 +63,9 @@ class CcRmPolicy : public DvsPolicy {
   std::vector<double> c_left_;
   std::vector<double> d_;
   std::vector<double> executed_snapshot_;
+  // Task ids in RM (period) order; fixed per task set, so taken once in
+  // OnStart.
+  std::vector<int> ids_by_period_;
 };
 
 }  // namespace rtdvs

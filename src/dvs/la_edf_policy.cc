@@ -12,10 +12,19 @@ void LaEdfPolicy::OnStart(const PolicyContext& ctx, SpeedController& speed) {
   auto n = static_cast<size_t>(ctx.tasks->size());
   c_left_.assign(n, 0.0);
   executed_snapshot_.assign(n, 0.0);
+  utilization_.assign(n, 0.0);
+  order_key_.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     c_left_[i] = ctx.views[i].worst_case_remaining;
     executed_snapshot_[i] = ctx.views[i].cumulative_executed;
+    utilization_[i] = ctx.tasks->task(static_cast<int>(i)).utilization();
+    order_key_[i] = ctx.views[i].next_deadline_ms;
   }
+  total_utilization_ = ctx.tasks->TotalUtilization();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(),
+            [this](int a, int b) { return Before(a, b); });
   Defer(ctx, speed);
 }
 
@@ -52,21 +61,37 @@ void LaEdfPolicy::OnTaskCompletion(int task_id, const PolicyContext& ctx,
   Defer(ctx, speed);
 }
 
+bool LaEdfPolicy::Before(int a, int b) const {
+  const double key_a = order_key_[static_cast<size_t>(a)];
+  const double key_b = order_key_[static_cast<size_t>(b)];
+  return key_a > key_b || (key_a == key_b && a < b);
+}
+
+void LaEdfPolicy::Reorder(int id, double key) {
+  // Before is a strict total order, so binary search finds the task under
+  // its old key and its slot under the new one.
+  const auto before = [this](int a, int b) { return Before(a, b); };
+  order_.erase(std::lower_bound(order_.begin(), order_.end(), id, before));
+  order_key_[static_cast<size_t>(id)] = key;
+  order_.insert(std::lower_bound(order_.begin(), order_.end(), id, before), id);
+}
+
 void LaEdfPolicy::Defer(const PolicyContext& ctx, SpeedController& speed) {
   const double d_next = ctx.EarliestDeadline();
 
   // Tasks in reverse-EDF order: latest deadline first.
-  order_.resize(static_cast<size_t>(ctx.tasks->size()));
-  std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&ctx](int a, int b) {
-    return ctx.view(a).next_deadline_ms > ctx.view(b).next_deadline_ms;
-  });
+  for (size_t i = 0; i < order_key_.size(); ++i) {
+    const double key = ctx.views[i].next_deadline_ms;
+    if (key != order_key_[i]) {
+      Reorder(static_cast<int>(i), key);
+    }
+  }
 
-  double utilization = ctx.tasks->TotalUtilization();
+  double utilization = total_utilization_;
   double must_run_now = 0;  // s: work that has to execute before d_next
   for (int id : order_) {
     auto i = static_cast<size_t>(id);
-    utilization -= ctx.tasks->task(id).utilization();
+    utilization -= utilization_[i];
     double slack_window = ctx.view(id).next_deadline_ms - d_next;
     double x;
     if (slack_window <= kTimeEpsMs) {

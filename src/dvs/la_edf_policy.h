@@ -47,13 +47,27 @@ class LaEdfPolicy : public DvsPolicy {
 
  private:
   void Sync(const PolicyContext& ctx);
+  // order_'s ordering: later deadline first, lower id first among ties.
+  bool Before(int a, int b) const;
+  // Moves task `id` to its place in order_ under its new deadline `key`.
+  void Reorder(int id, double key);
   void Defer(const PolicyContext& ctx, SpeedController& speed);
 
   std::vector<double> c_left_;
   std::vector<double> executed_snapshot_;
-  // Defer()'s reverse-EDF ordering scratch; member so the per-callback
-  // defer pass (2+ per scheduling point) allocates nothing.
+  // C_i/P_i per task and their id-order sum, cached in OnStart with the
+  // same division and summation order TaskSet uses, so Defer's
+  // floating-point arithmetic is unchanged.
+  std::vector<double> utilization_;
+  double total_utilization_ = 0;
+  // Task ids in reverse-EDF order: deadline descending, id ascending among
+  // ties (exactly what a stable sort of 0..n-1 by descending deadline
+  // yields), under the deadlines in order_key_. Kept incrementally: Defer
+  // re-inserts only the tasks whose view deadline moved since the previous
+  // callback (usually the one released task), so a callback is O(n), the
+  // paper's §2.6 bound.
   std::vector<int> order_;
+  std::vector<double> order_key_;
 };
 
 }  // namespace rtdvs

@@ -106,7 +106,8 @@ std::string ClusterPolicyName(const std::vector<DvsPolicy*>& policies) {
   std::string name = policies.front()->name();
   for (const DvsPolicy* policy : policies) {
     if (policy->name() != name) {
-      name += "+" + policy->name();
+      name += '+';
+      name += policy->name();
     }
   }
   return name;

@@ -134,6 +134,7 @@ void Simulator::FinalizeJobCompletion(Job* job, double now) {
   job->finished = true;
   job->completion_ms = now;
   --unfinished_count_;
+  dirty_.Mark(job->task_id);
   if (use_events_) {
     deadline_live_[job->uid - 1] = 0;
   }
@@ -229,6 +230,7 @@ void Simulator::ReleaseDueJobs(double now, std::vector<int>* released) {
       }
       released->push_back(id);
     }
+    dirty_.Mark(id);
     if (use_events_ && state.next_release_ms < kInf) {
       events_.Push(state.next_release_ms, EngineEventType::kRelease, id);
     }
@@ -337,7 +339,8 @@ void Simulator::BuildContext(double now) {
                                             state.cumulative_executed,
                                             state.last_actual_work};
       },
-      &ctx_);
+      &ctx_, &dirty_);
+  dirty_.Clear();
 }
 
 SimResult Simulator::Run() {
@@ -377,6 +380,7 @@ SimResult Simulator::Run() {
   accountant_.BindResidency(&machine_, &result_.residency);
   accountant_.set_trace_sink(sink);
   context_builder_.Bind(&tasks_, &machine_);
+  dirty_.Reset(static_cast<int>(n));
   ready_.BindScheduler(scheduler_.get());
   ready_.ResetTracking();
   now_ = 0;
@@ -584,6 +588,7 @@ void Simulator::RunLoop() {
         }
         job.executed_work += work;
         task_states_[static_cast<size_t>(job.task_id)].cumulative_executed += work;
+        dirty_.Mark(job.task_id);
         result_.task_stats[static_cast<size_t>(job.task_id)].executed_work += work;
         accountant_.RecordExecution(exec_start, t_next, work, job.task_id, point);
       }
@@ -665,6 +670,7 @@ void Simulator::RunLoop() {
           replacement.actual_work = options_.aperiodic.budget_ms;
           QueueJobDeadline(&replacement);
           jobs_.push_back(replacement);
+          dirty_.Mark(server_task_id_);
           ++unfinished_count_;
           ++result_.releases;
           ++result_.task_stats[static_cast<size_t>(server_task_id_)].releases;
@@ -681,6 +687,7 @@ void Simulator::RunLoop() {
           job.actual_work = options_.aperiodic.budget_ms;
           QueueJobDeadline(&job);
           jobs_.push_back(job);
+          dirty_.Mark(server_task_id_);
           ++unfinished_count_;
           ++result_.releases;
           ++result_.task_stats[static_cast<size_t>(server_task_id_)].releases;
@@ -711,6 +718,7 @@ void Simulator::RunLoop() {
             job.finished = true;
             job.completion_ms = now_;
             --unfinished_count_;
+            dirty_.Mark(job.task_id);
             any_aborted = true;
             if (use_events_) {
               deadline_live_[job.uid - 1] = 0;

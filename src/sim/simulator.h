@@ -157,6 +157,7 @@ class Simulator {
   // (set by ConsumeDueEvents), queueing each new job's deadline event and
   // the task's next release event.
   void ReleaseDueJobs(double now, std::vector<int>* released);
+  // Refreshes ctx_ for the tasks in dirty_ and clears it.
   void BuildContext(double now);
   // Registers the job with the event queue (uid + deadline event).
   void QueueJobDeadline(Job* job);
@@ -199,6 +200,12 @@ class Simulator {
   EventQueue events_;
   ReadyQueue ready_;
   ContextBuilder context_builder_;
+  // Tasks whose TaskRuntimeView inputs changed since the last BuildContext:
+  // marked where a task executes, releases, completes (server jobs
+  // included), is aborted, or gets a CBS wake/postpone job. Marks persist
+  // across steps that skip the callback block (and across hyperperiod
+  // replay) until the next build consumes them.
+  DirtyTasks dirty_;
   ModelEnergyAccountant accountant_;
   TraceRecorderSink trace_sink_;
   std::unique_ptr<ModeledSpeedController> speed_;

@@ -118,13 +118,23 @@ SimRequest FuzzSimRequest(const FuzzCase& c) {
 std::string FuzzCaseToRepro(const FuzzCase& c) {
   std::string out = "rtdvs-fuzz-v1;policy=" + c.policy_id + ";machine=";
   for (size_t i = 0; i < c.machine_points.size(); ++i) {
-    out += (i ? "," : "") + Dbl(c.machine_points[i].frequency) + "/" +
-           Dbl(c.machine_points[i].voltage);
+    if (i > 0) {
+      out += ',';
+    }
+    out += Dbl(c.machine_points[i].frequency);
+    out += '/';
+    out += Dbl(c.machine_points[i].voltage);
   }
   out += ";tasks=";
   for (size_t i = 0; i < c.tasks.size(); ++i) {
-    out += (i ? "," : "") + Dbl(c.tasks[i].period_ms) + ":" + Dbl(c.tasks[i].wcet_ms) +
-           ":" + Dbl(c.tasks[i].phase_ms);
+    if (i > 0) {
+      out += ',';
+    }
+    out += Dbl(c.tasks[i].period_ms);
+    out += ':';
+    out += Dbl(c.tasks[i].wcet_ms);
+    out += ':';
+    out += Dbl(c.tasks[i].phase_ms);
   }
   out += ";exec=" + c.exec_spec;
   out += ";horizon=" + Dbl(c.horizon_ms);

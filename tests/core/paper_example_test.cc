@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "src/cpu/machine_spec.h"
 #include "src/dvs/policy.h"
@@ -69,6 +70,13 @@ struct Table4Row {
   double absolute_energy;
   double normalized;  // the value printed in Table 4
 };
+
+// Without this, gtest prints the row as raw bytes, and the policy_id pointer
+// in them varies from run to run under ASLR, so the listed test names would too.
+void PrintTo(const Table4Row& row, std::ostream* os) {
+  *os << "{\"" << row.policy_id << "\", " << row.absolute_energy << ", " << row.normalized
+      << "}";
+}
 
 class Table4Test : public ::testing::TestWithParam<Table4Row> {};
 

@@ -222,8 +222,11 @@ TEST_F(ProfilerTest, DisabledOverheadWithinTwoPercent) {
     }
     span_loop_ms = std::min(span_loop_ms, ElapsedMs(start));
     start = std::chrono::steady_clock::now();
-    for (volatile int i = 0; i < kIterations; ++i) {
+    volatile int sink = 0;
+    for (int i = 0; i < kIterations; ++i) {
+      sink = i;
     }
+    (void)sink;
     empty_loop_ms = std::min(empty_loop_ms, ElapsedMs(start));
   }
   const double cost_per_span_ms =

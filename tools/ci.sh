@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# CI driver: plain build + full test suite, then the same suite under
-# ASan/UBSan, then the concurrency tests (thread pool, parallel sweep
-# harness, bench smokes) under TSan, then every bench in --quick mode with
+# CI script: plain build + full test suite, the same suite on a Release
+# (-O3, -Werror) build and under ASan/UBSan, then the concurrency tests
+# (thread pool, parallel sweep harness, bench smokes) under TSan, then
+# every bench in --quick mode with
 # --json output validated against the rtdvs-bench-v1 schema, then the
 # rtdvs-benchdiff perf-regression gate against bench/baselines, then a
 # bounded deterministic differential-fuzz campaign (production simulator vs
 # the reference oracle; failing repro strings land in build-ci-plain/fuzz/).
 #
 #   tools/ci.sh              # all stages
-#   tools/ci.sh plain        # one: plain | asan-ubsan | tsan | bench-json |
-#                            #      benchdiff | tidy | fuzz
+#   tools/ci.sh plain        # one: plain | release | asan-ubsan | tsan |
+#                            #      bench-json | benchdiff | tidy | fuzz
 #   tools/ci.sh refresh-baselines   # regenerate bench/baselines/
 #
 # RTDVS_NIGHTLY=1 switches the benchdiff stage to full (non-quick) bench
@@ -46,6 +47,15 @@ stage_plain() {
   echo "=== stage: plain build, full test suite ==="
   configure_and_build build-ci-plain
   run_ctest build-ci-plain
+}
+
+stage_release() {
+  echo "=== stage: Release (-O3) build, warnings as errors, full test suite ==="
+  # -O3 runs GCC's deeper flow analysis (e.g. -Wrestrict on inlined string
+  # concatenation), which the RelWithDebInfo stages never see.
+  configure_and_build build-ci-release -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
+  run_ctest build-ci-release
 }
 
 stage_asan_ubsan() {
@@ -108,6 +118,8 @@ run_gate_benches() {
     --json="$outdir/BENCH_mp_scaling.json" >/dev/null
   "$builddir"/bench/bench_scaling_efficiency "${sq[@]}" \
     --json="$outdir/BENCH_scaling_efficiency.json" >/dev/null
+  "$builddir"/bench/bench_n_scaling "${q[@]}" \
+    --json="$outdir/BENCH_n_scaling.json" >/dev/null
 }
 
 stage_benchdiff() {
@@ -190,6 +202,7 @@ stage_fuzz() {
 STAGE="${1:-all}"
 case "$STAGE" in
   plain) stage_plain ;;
+  release) stage_release ;;
   asan-ubsan) stage_asan_ubsan ;;
   tsan) stage_tsan ;;
   bench-json) stage_bench_json ;;
@@ -199,6 +212,7 @@ case "$STAGE" in
   fuzz) stage_fuzz ;;
   all)
     stage_plain
+    stage_release
     stage_asan_ubsan
     stage_tsan
     stage_bench_json
@@ -207,7 +221,7 @@ case "$STAGE" in
     stage_fuzz
     ;;
   *)
-    echo "usage: tools/ci.sh [plain|asan-ubsan|tsan|bench-json|benchdiff|tidy|fuzz|all]" >&2
+    echo "usage: tools/ci.sh [plain|release|asan-ubsan|tsan|bench-json|benchdiff|tidy|fuzz|all]" >&2
     echo "       tools/ci.sh refresh-baselines   # regenerate bench/baselines" >&2
     exit 1
     ;;
