@@ -22,10 +22,6 @@ class CcEdfPolicy : public DvsPolicy {
   std::string name() const override { return "ccEDF"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kEdf; }
   bool lowers_speed_when_idle() const override { return true; }
-  // The only state is U_i per task, and the release callbacks that fire at
-  // an all-task release boundary reset every entry to C_i/P_i — no absolute
-  // snapshot survives a skip, so no OnTimeSkip override is needed.
-  bool supports_time_skip() const override { return true; }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

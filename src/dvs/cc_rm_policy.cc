@@ -34,16 +34,6 @@ void CcRmPolicy::OnStart(const PolicyContext& ctx, SpeedController& speed) {
   SelectFrequency(ctx, speed);
 }
 
-void CcRmPolicy::OnTimeSkip(const PolicyContext& ctx) {
-  // The skipped windows' callbacks were replayed as recorded effects, so
-  // c_left_ / d_ already hold their window-invariant boundary values; only
-  // the cumulative-executed baseline (absolute, monotone) must catch up or
-  // the next Sync() would see the whole skipped span as fresh execution.
-  for (size_t i = 0; i < executed_snapshot_.size(); ++i) {
-    executed_snapshot_[i] = ctx.views[i].cumulative_executed;
-  }
-}
-
 void CcRmPolicy::Sync(const PolicyContext& ctx) {
   for (size_t i = 0; i < c_left_.size(); ++i) {
     double delta = ctx.views[i].cumulative_executed - executed_snapshot_[i];

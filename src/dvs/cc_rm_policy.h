@@ -31,11 +31,6 @@ class CcRmPolicy : public DvsPolicy {
   std::string name() const override { return "ccRM"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kRm; }
   bool lowers_speed_when_idle() const override { return true; }
-  // c_left_ and d_ are rebuilt by the boundary release callbacks (c_left_i =
-  // C_i, then a full allocate_cycles pass); only the cumulative-executed
-  // baseline is an absolute snapshot, which OnTimeSkip resynchronizes.
-  bool supports_time_skip() const override { return true; }
-  void OnTimeSkip(const PolicyContext& ctx) override;
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

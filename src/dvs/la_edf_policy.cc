@@ -28,15 +28,6 @@ void LaEdfPolicy::OnStart(const PolicyContext& ctx, SpeedController& speed) {
   Defer(ctx, speed);
 }
 
-void LaEdfPolicy::OnTimeSkip(const PolicyContext& ctx) {
-  // See CcRmPolicy::OnTimeSkip: c_left_ holds its window-invariant boundary
-  // value, but the cumulative-executed baseline is absolute and must catch
-  // up to the resume boundary.
-  for (size_t i = 0; i < executed_snapshot_.size(); ++i) {
-    executed_snapshot_[i] = ctx.views[i].cumulative_executed;
-  }
-}
-
 void LaEdfPolicy::Sync(const PolicyContext& ctx) {
   for (size_t i = 0; i < c_left_.size(); ++i) {
     double delta = ctx.views[i].cumulative_executed - executed_snapshot_[i];

@@ -33,11 +33,6 @@ class LaEdfPolicy : public DvsPolicy {
   std::string name() const override { return "laEDF"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kEdf; }
   bool lowers_speed_when_idle() const override { return true; }
-  // c_left_ is rebuilt by the boundary release callbacks (c_left_i = C_i);
-  // only the cumulative-executed baseline is an absolute snapshot, which
-  // OnTimeSkip resynchronizes.
-  bool supports_time_skip() const override { return true; }
-  void OnTimeSkip(const PolicyContext& ctx) override;
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

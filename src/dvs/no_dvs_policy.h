@@ -13,8 +13,6 @@ class NoDvsPolicy : public DvsPolicy {
 
   std::string name() const override { return SchedulerKindName(kind_); }
   SchedulerKind scheduler_kind() const override { return kind_; }
-  // Stateless after OnStart: trivially safe to skip over whole windows.
-  bool supports_time_skip() const override { return true; }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override {
     RequestOperatingPoint(speed, ctx.machine->max_point());

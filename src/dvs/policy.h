@@ -94,19 +94,9 @@ class DvsPolicy {
   // True when the policy schedules its own timer wakeups (NextWakeupMs may
   // return a value). Hosts only poll NextWakeupMs / deliver OnWakeup for
   // timer-driven policies; every event-driven policy (all the paper's RT-DVS
-  // algorithms) skips that per-step work entirely. A timer-driven policy
-  // also keeps absolute wakeup times, which excludes it from the simulator's
-  // hyperperiod fast path (src/sim/simulator.h).
+  // algorithms) skips that per-step work entirely.
   virtual bool timer_driven() const { return false; }
-  // True when every piece of the policy's internal state is either
-  // window-invariant (rebuilt from scratch by the release callbacks that
-  // fire at an all-task release boundary, or a rate/duration that repeats
-  // across hyperperiod windows) or an absolute snapshot that OnTimeSkip can
-  // resynchronize from a fresh context. This is the correctness precondition
-  // for the simulator's hyperperiod replay, which skips the policy's
-  // callbacks over whole verified windows and delivers OnTimeSkip once at
-  // the end. Policies with cross-window history the boundary callbacks do
-  // not rebuild (statEDF's completion-history ring) must return false.
+  // No caller in src/; kept because perfbench/ overrides or reads it.
   virtual bool supports_time_skip() const { return false; }
 
   // Called once before the first release, and again whenever the task set
@@ -142,12 +132,7 @@ class DvsPolicy {
     (void)speed;
   }
 
-  // Called once by a host that fast-forwarded simulated time past one or
-  // more whole hyperperiod windows without delivering the usual callbacks
-  // (their externally visible effects were applied from a recording). The
-  // context is built at the resume boundary; implementations must
-  // resynchronize any absolute snapshots (e.g. cumulative-executed
-  // baselines) so the next regular callback computes correct deltas.
+  // No caller in src/; kept because perfbench/ overrides or reads it.
   virtual void OnTimeSkip(const PolicyContext& ctx) { (void)ctx; }
 
   // Decision counters accumulated over the policy's lifetime (they survive
@@ -155,42 +140,12 @@ class DvsPolicy {
   // them into SimResult::policy_counters after a run.
   const PolicyCounters& counters() const { return counters_; }
 
-  // Host-facing effect recording for hyperperiod replay. While a tap is
-  // bound, every counter mutation (all of which route through the protected
-  // helpers below) is appended to it in execution order; ApplyCounterEffect
-  // re-applies one recorded mutation without running any policy logic.
-  // Integer fields increment by exactly 1 per effect, double fields add the
-  // recorded addend — replaying the addend sequence (not a per-window delta)
-  // keeps the sums bit-identical under non-associative FP addition.
+  // Effect recording: while a tap is bound, every counter mutation (all of
+  // which route through the protected helpers below) is appended to it in
+  // execution order, with the exact addend for double fields. Two policy
+  // implementations that must agree bit for bit (tests/dvs/
+  // la_edf_order_test.cc) compare their recorded sequences.
   void set_counter_tap(std::vector<PolicyCounterEffect>* tap) { tap_ = tap; }
-  void ApplyCounterEffect(const PolicyCounterEffect& effect) {
-    switch (effect.field) {
-      case PolicyCounterField::kSpeedRequests:
-        counters_.speed_change_requests += 1;
-        break;
-      case PolicyCounterField::kSpeedTransitions:
-        counters_.speed_transitions += 1;
-        break;
-      case PolicyCounterField::kSlackCompletions:
-        counters_.slack_completions += 1;
-        break;
-      case PolicyCounterField::kSlackReclaimedMs:
-        counters_.slack_reclaimed_ms += effect.value;
-        break;
-      case PolicyCounterField::kDeferralDecisions:
-        counters_.deferral_decisions += 1;
-        break;
-      case PolicyCounterField::kWorkDeferredMs:
-        counters_.work_deferred_ms += effect.value;
-        break;
-      case PolicyCounterField::kUtilizationSamples:
-        counters_.utilization_samples += 1;
-        break;
-      case PolicyCounterField::kUtilizationSum:
-        counters_.utilization_sum += effect.value;
-        break;
-    }
-  }
 
  protected:
   // Policy implementations change speed through this wrapper so that request

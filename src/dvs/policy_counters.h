@@ -88,11 +88,9 @@ enum class PolicyCounterField : uint8_t {
 };
 
 // One recorded counter mutation: integer fields always increment by exactly
-// 1 (value is ignored on replay), double fields add `value`. The simulator's
-// hyperperiod replay stores these per mutation — not per-window deltas —
-// because floating-point addition is not associative: replaying the exact
-// addend sequence is the only way the replayed sums stay bit-identical to
-// the stepped path.
+// 1 (value is 1), double fields add `value`. Recorded per mutation, not as a
+// delta, because floating-point addition is not associative: two sums agree
+// bit for bit only when their addend sequences do.
 struct PolicyCounterEffect {
   PolicyCounterField field;
   double value = 0;

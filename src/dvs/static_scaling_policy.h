@@ -17,9 +17,6 @@ class StaticScalingPolicy : public DvsPolicy {
 
   std::string name() const override;
   SchedulerKind scheduler_kind() const override { return kind_; }
-  // The chosen point depends only on the task set, fixed at OnStart: safe
-  // to skip over whole windows.
-  bool supports_time_skip() const override { return true; }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
 

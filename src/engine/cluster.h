@@ -2,9 +2,9 @@
 // partitioned-scheduling admission layer for M identical DVS cores.
 //
 // The paper's RT-DVS policies (§3) are per-processor; the engine
-// decomposition (EventQueue / ReadyQueue / EnergyAccountant /
-// SpeedController) was built so M independent per-core instances can be
-// composed under one simulated clock. This header holds the pieces that are
+// decomposition (ReadyQueue / EnergyAccountant / SpeedController) was
+// built so M independent per-core instances can be composed under one
+// simulated clock. This header holds the pieces that are
 // pure scheduling theory — the cluster spec, the scheduling mode, and the
 // bin-packing task partitioner — while src/sim/mp_simulator.h owns the
 // driver that actually runs a cluster.

@@ -1,7 +1,7 @@
+// No caller in src/; kept because perfbench/ overrides or reads it.
+//
 // Typed simulation event queue: a binary min-heap ordered by (time, push
-// sequence). Replaces the per-event linear rescans of jobs_/task_states_ the
-// monolithic simulator used to find its next scheduling point with O(log n)
-// push/pop.
+// sequence) with O(log n) push/pop.
 //
 // Ordering contract: events pop in exactly nondecreasing time order, with
 // FIFO order among equal timestamps (the push sequence number breaks ties).

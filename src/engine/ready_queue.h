@@ -3,8 +3,7 @@
 // job vector stays owned by the host (jobs are value types that hosts erase
 // and remap freely — the kernel renumbers dense task ids on unregister), so
 // selection is a scan under Scheduler::HigherPriority rather than a
-// persistent index; the scan is O(active jobs), which event-queue
-// scheduling already made the cheap part of a step.
+// persistent index; the scan is O(active jobs).
 #ifndef SRC_ENGINE_READY_QUEUE_H_
 #define SRC_ENGINE_READY_QUEUE_H_
 

@@ -21,13 +21,7 @@ ModeledSpeedController::ModeledSpeedController(const MachineSpec* machine,
 
 void ModeledSpeedController::SetOperatingPoint(const OperatingPoint& point) {
   // Validate that policies only request points that exist on this machine.
-  const size_t index = machine_->IndexOf(point);
-  if (request_tap_ != nullptr) {
-    // Recorded before the same-point early-out: replay must re-issue no-op
-    // requests too, or a replayed window whose first request matches the
-    // current point would diverge from the recorded switch sequence.
-    request_tap_->push_back(static_cast<int>(index));
-  }
+  (void)machine_->IndexOf(point);
   if (point == point_) {
     return;
   }

@@ -13,7 +13,6 @@
 #define SRC_ENGINE_SPEED_CONTROLLER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/cpu/machine_spec.h"
 #include "src/cpu/operating_point.h"
@@ -38,13 +37,6 @@ class ModeledSpeedController : public SpeedController {
   double blocked_until_ms() const { return blocked_until_; }
   int64_t switch_count() const { return switch_count_; }
 
-  // Host-facing effect recording for hyperperiod replay: while bound, every
-  // SetOperatingPoint call (no-op re-requests included) appends the
-  // requested point's machine index. Replaying the recorded requests against
-  // this controller reproduces switch_count and blocked_until_ms exactly,
-  // because both derive deterministically from the request sequence.
-  void set_request_tap(std::vector<int>* tap) { request_tap_ = tap; }
-
  private:
   const MachineSpec* machine_;
   double switch_time_ms_;
@@ -53,7 +45,6 @@ class ModeledSpeedController : public SpeedController {
   OperatingPoint point_;
   double blocked_until_ = 0;
   int64_t switch_count_ = 0;
-  std::vector<int>* request_tap_ = nullptr;
 };
 
 // Host-specific hardware behind DeviceSpeedController: applying a point may

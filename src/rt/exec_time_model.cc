@@ -107,15 +107,6 @@ void PerTaskModel::set_fallback(std::unique_ptr<ExecTimeModel> fallback) {
   fallback_ = std::move(fallback);
 }
 
-bool PerTaskModel::stationary() const {
-  for (const auto& model : models_) {
-    if (!model->stationary()) {
-      return false;
-    }
-  }
-  return fallback_->stationary();
-}
-
 std::optional<double> PerTaskModel::constant_fraction() const {
   // Constant only when every delegate agrees on one value (the common case
   // is scenario files giving every task const(1)).
@@ -152,17 +143,6 @@ TableFractionModel::TableFractionModel(std::vector<std::vector<double>> fraction
 }
 
 std::string TableFractionModel::name() const { return "table"; }
-
-bool TableFractionModel::stationary() const {
-  // A single-column row repeats the same fraction forever; any longer row
-  // makes early invocations differ from the steady state.
-  for (const auto& row : fractions_by_task_) {
-    if (row.size() > 1) {
-      return false;
-    }
-  }
-  return true;
-}
 
 double TableFractionModel::DrawFraction(int task_id, int64_t invocation, Pcg32& rng) {
   (void)rng;

@@ -33,11 +33,7 @@ class ExecTimeModel {
     return std::nullopt;
   }
 
-  // True when DrawFraction is a pure function of task_id alone: identical
-  // for every invocation of a task and consuming no randomness. This is the
-  // precondition for the simulator's hyperperiod memoization (the workload
-  // over cycle k+1 must repeat cycle k exactly); see
-  // src/sim/simulator.h FastPathOptions. Conservative false by default.
+  // No caller in src/; kept because perfbench/ overrides or reads it.
   virtual bool stationary() const { return false; }
 };
 
@@ -49,7 +45,6 @@ class ConstantFractionModel : public ExecTimeModel {
   std::string name() const override;
   double DrawFraction(int task_id, int64_t invocation, Pcg32& rng) override;
   std::optional<double> constant_fraction() const override { return fraction_; }
-  bool stationary() const override { return true; }
 
  private:
   double fraction_;
@@ -107,10 +102,8 @@ class PerTaskModel : public ExecTimeModel {
   explicit PerTaskModel(std::vector<std::unique_ptr<ExecTimeModel>> models);
   std::string name() const override;
   double DrawFraction(int task_id, int64_t invocation, Pcg32& rng) override;
-  // Stationary when every per-task model (and the fallback) is; the draws
-  // still differ BETWEEN tasks, so constant_fraction() stays nullopt unless
-  // delegation is trivial.
-  bool stationary() const override;
+  // Constant only when every delegate (and the fallback) agrees on one
+  // value.
   std::optional<double> constant_fraction() const override;
 
   // Tasks beyond the configured list (e.g. an auto-appended server task)
@@ -130,7 +123,6 @@ class TableFractionModel : public ExecTimeModel {
   explicit TableFractionModel(std::vector<std::vector<double>> fractions_by_task);
   std::string name() const override;
   double DrawFraction(int task_id, int64_t invocation, Pcg32& rng) override;
-  bool stationary() const override;
 
  private:
   std::vector<std::vector<double>> fractions_by_task_;

@@ -8,9 +8,7 @@ namespace rtdvs {
 
 struct Job {
   int task_id = -1;
-  // Run-unique job id, assigned at creation by hosts that need to refer to
-  // a job after it may have moved or died (e.g. lazy invalidation of queued
-  // deadline events). 0 = unassigned.
+  // No caller in src/; kept because perfbench/ overrides or reads it.
   uint64_t uid = 0;
   // 0-based invocation index of this task.
   int64_t invocation = 0;

@@ -34,45 +34,30 @@ struct TaskStats {
   }
 };
 
-// How the simulator spent its stepping budget: which analytic fast paths
-// served the run and how much simulated time / how many whole hyperperiod
-// cycles they covered. Pure execution diagnostics — two runs of the same
-// scenario with fast paths toggled produce bit-identical results in every
-// OTHER SimResult field while these counters differ, so equality helpers
-// (the differential oracle, the forced-on/off suite) deliberately exclude
-// them.
+// How the simulator spent its stepping budget. Pure execution diagnostics:
+// the differential oracle and the other equality helpers deliberately
+// exclude them, since the reference engine steps differently.
 struct FastPathStats {
-  // Event-loop iterations executed in full (scheduler pick + integration).
+  // Event-loop iterations (scheduling points), idle skips included.
   int64_t steps = 0;
-  // Idle intervals integrated in closed form by the idle-skip branch
-  // (empty ready queue: jump straight to the next release / timer wakeup
-  // and charge one idle segment), and the simulated time they covered.
+  // Steps that found no job and integrated the whole interval to the next
+  // release / arrival / timer wakeup as one idle segment, and the simulated
+  // time they covered.
   int64_t idle_skips = 0;
   double idle_skipped_ms = 0;
-  // Hyperperiod memoization: whole cycles verified identical during
-  // probing, whole cycles fast-forwarded by decision replay, and the
-  // replayed step count (steps the slow path would have executed).
-  int64_t hyperperiod_cycles_verified = 0;
+  // Always 0. No caller in src/; kept because perfbench/ overrides or reads it.
   int64_t hyperperiod_cycles_replayed = 0;
-  int64_t steps_replayed = 0;
-  // Why the hyperperiod path never armed for this run ("" when it armed or
-  // was disabled via SimOptions::fast_paths).
-  std::string hyperperiod_gate;
 
-  // Accumulates the numeric coverage counters (gate reasons are per-run and
-  // do not merge) — sweep/bench aggregation across many simulations.
+  // Accumulates the counters — sweep/bench aggregation across many
+  // simulations.
   void MergeFrom(const FastPathStats& other) {
     steps += other.steps;
     idle_skips += other.idle_skips;
     idle_skipped_ms += other.idle_skipped_ms;
-    hyperperiod_cycles_verified += other.hyperperiod_cycles_verified;
-    hyperperiod_cycles_replayed += other.hyperperiod_cycles_replayed;
-    steps_replayed += other.steps_replayed;
   }
 };
 
-// JSON view of the coverage counters; includes the gate reason only when
-// non-empty (aggregated stats have none). Defined in simulator.cc.
+// JSON view of the counters. Defined in simulator.cc.
 class JsonValue;
 JsonValue FastPathStatsToJson(const FastPathStats& stats);
 

@@ -44,85 +44,6 @@ Simulator::Simulator(TaskSet tasks, MachineSpec machine, DvsPolicy* policy,
 
 Simulator::~Simulator() = default;
 
-double Simulator::NextQueuedEventTime() {
-  while (!events_.Empty()) {
-    const EngineEvent& top = events_.Top();
-    switch (top.type) {
-      case EngineEventType::kDeadline:
-        // Stale when the job already finished (lazy invalidation) or the
-        // deadline was already handled by the value-based miss scan (events
-        // within kTimeEpsMs of now are "due now", not scheduling points).
-        if (!deadline_live_[top.payload - 1] ||
-            top.time_ms <= now_ + kTimeEpsMs) {
-          events_.Pop();
-          continue;
-        }
-        return top.time_ms;
-      case EngineEventType::kPolicyTimer:
-        // Stale when superseded by a newer NextWakeupMs value, or already
-        // due (OnWakeup fires from the value check in the event loop; a due
-        // timer never becomes a scheduling point of its own).
-        if (top.payload != timer_generation_ || top.time_ms <= now_ + kTimeEpsMs) {
-          events_.Pop();
-          continue;
-        }
-        return top.time_ms;
-      default:
-        // Releases are the boot events (t = phase, possibly == now) and
-        // always valid; the horizon never staleness-checks.
-        return top.time_ms;
-    }
-  }
-  return kInf;
-}
-
-void Simulator::ConsumeDueEvents() {
-  due_releases_.clear();
-  while (!events_.Empty() && events_.Top().time_ms <= now_ + kTimeEpsMs) {
-    const EngineEvent event = events_.Pop();
-    if (event.type == EngineEventType::kRelease) {
-      due_releases_.push_back(event.task_id);
-    }
-  }
-  // Task-id order keeps exec-model RNG draws and policy release callbacks
-  // in the order the monolithic per-task scan produced.
-  std::sort(due_releases_.begin(), due_releases_.end());
-  due_releases_.erase(std::unique(due_releases_.begin(), due_releases_.end()),
-                      due_releases_.end());
-}
-
-void Simulator::SyncPolicyTimer(const std::optional<double>& wakeup) {
-  if (wakeup == queued_wakeup_) {
-    return;
-  }
-  queued_wakeup_ = wakeup;
-  if (use_events_) {
-    ++timer_generation_;
-    if (wakeup.has_value() && *wakeup < kInf) {
-      events_.Push(*wakeup, EngineEventType::kPolicyTimer, -1, timer_generation_);
-    }
-  }
-  // Queue-free mode reads queued_wakeup_ directly when deriving the next
-  // scheduling point; there is no event to (in)validate.
-}
-
-void Simulator::QueueJobDeadline(Job* job) {
-  job->uid = next_job_uid_++;
-  // A periodic job's deadline coincides exactly with its task's next release
-  // (both are release + period), and ReleaseDueJobs queues that release
-  // event unconditionally — so a separate deadline event would be a
-  // duplicate scheduling point. Only server jobs need one: CBS wake and
-  // postpone set deadlines that track no release. The queue-free loop has
-  // no server, hence no deadline events and no liveness vector to grow.
-  if (use_events_) {
-    deadline_live_.push_back(1);
-    if (IsServerJob(*job)) {
-      events_.Push(job->deadline_ms, EngineEventType::kDeadline, job->task_id,
-                   job->uid);
-    }
-  }
-}
-
 double Simulator::EffectiveRemaining(const Job& job) const {
   if (IsServerJob(job)) {
     return aperiodic_->ServableWork();
@@ -135,9 +56,6 @@ void Simulator::FinalizeJobCompletion(Job* job, double now) {
   job->completion_ms = now;
   --unfinished_count_;
   dirty_.Mark(job->task_id);
-  if (use_events_) {
-    deadline_live_[job->uid - 1] = 0;
-  }
   if (IsServerJob(*job)) {
     // What the server actually consumed is what DVS bookkeeping (cc_i in
     // ccEDF) may reclaim until the next replenishment.
@@ -218,7 +136,6 @@ void Simulator::ReleaseDueJobs(double now, std::vector<int>* released) {
       job.deadline_ms = state.next_release_ms + task.period_ms;
       job.wcet_work = task.wcet_ms;
       job.actual_work = fraction * task.wcet_ms;
-      QueueJobDeadline(&job);
       jobs_.push_back(job);
       ++unfinished_count_;
       ++state.next_invocation;
@@ -231,9 +148,6 @@ void Simulator::ReleaseDueJobs(double now, std::vector<int>* released) {
       released->push_back(id);
     }
     dirty_.Mark(id);
-    if (use_events_ && state.next_release_ms < kInf) {
-      events_.Push(state.next_release_ms, EngineEventType::kRelease, id);
-    }
   }
 }
 
@@ -253,81 +167,6 @@ void Simulator::CollectDueReleases() {
       due_releases_.push_back(static_cast<int>(id));
     }
   }
-}
-
-void Simulator::ArmHyperperiod() {
-  if (!options_.fast_paths.hyperperiod) {
-    return;  // gate string stays "" by the FastPathStats contract
-  }
-  const char* reason = nullptr;
-  if (use_events_) {
-    reason = "aperiodic server";
-  } else if (timer_driven_) {
-    reason = "timer-driven policy";
-  } else if (options_.record_trace) {
-    reason = "trace recording";
-  } else if (!policy_->supports_time_skip()) {
-    reason = "policy does not support time skip";
-  } else if (!exec_model_->stationary()) {
-    reason = "non-stationary exec model";
-  } else if (!const_fraction_.has_value()) {
-    reason = "execution fractions not a single constant";
-  } else if (options_.horizon_ms > HyperperiodMemo::kMaxExactMagnitudeMs) {
-    reason = "horizon beyond the exact-arithmetic magnitude bound";
-  } else if (!HyperperiodMemo::OnDyadicGrid(options_.switch_time_ms)) {
-    reason = "switch time off the dyadic grid";
-  }
-  if (reason == nullptr) {
-    // The exact-arithmetic gate: window repetition is a floating-point
-    // property, not a scheduling one — absolute-time sums round differently
-    // across binades, so replay arms only when every time/work operation in
-    // the run is exact: dyadic task parameters (release/deadline/boundary
-    // sums stay exact) and power-of-two frequencies (completion and work
-    // scaling only shift exponents). Anything else would risk a verified
-    // repetition breaking down in a later window. See DESIGN.md.
-    for (const auto& point : machine_.points()) {
-      if (!HyperperiodMemo::IsExactFrequency(point.frequency)) {
-        reason = "machine frequencies not powers of two";
-        break;
-      }
-    }
-  }
-  if (reason == nullptr) {
-    for (int id = 0; id < tasks_.size(); ++id) {
-      const Task& task = tasks_.task(id);
-      if (task.phase_ms != 0.0) {
-        // Hyperperiod boundaries are all-task release points (the policy
-        // state rebuild the replay relies on) only when every phase is zero.
-        reason = "nonzero task phase";
-        break;
-      }
-      if (!HyperperiodMemo::OnDyadicGrid(task.period_ms) ||
-          !HyperperiodMemo::OnDyadicGrid(task.wcet_ms) ||
-          !HyperperiodMemo::OnDyadicGrid(*const_fraction_ * task.wcet_ms)) {
-        reason = "task parameters off the dyadic grid";
-        break;
-      }
-    }
-  }
-  std::optional<double> h;
-  if (reason == nullptr) {
-    // An LCM beyond horizon/4 cannot fit warmup + two recorded windows +
-    // one replayed window, so it doubles as the overflow bound.
-    const double max_units =
-        options_.horizon_ms * (HyperperiodMemo::kDyadicGridPerMs / 4.0);
-    h = HyperperiodMemo::HyperperiodMs(tasks_,
-                                       static_cast<int64_t>(max_units));
-    if (!h.has_value()) {
-      reason = "hyperperiod too long";
-    } else if (4.0 * *h >= options_.horizon_ms - kTimeEpsMs) {
-      reason = "horizon shorter than four hyperperiods";
-    }
-  }
-  if (reason != nullptr) {
-    result_.fastpath.hyperperiod_gate = reason;
-    return;
-  }
-  hp_.Arm(*h, options_.horizon_ms, &result_.fastpath);
 }
 
 void Simulator::BuildContext(double now) {
@@ -386,10 +225,6 @@ SimResult Simulator::Run() {
   now_ = 0;
   speed_ = std::make_unique<ModeledSpeedController>(
       &machine_, options_.switch_time_ms, &now_, sink);
-  events_.Clear();
-  deadline_live_.clear();
-  next_job_uid_ = 1;
-  use_events_ = server_task_id_ >= 0;
   timer_driven_ = policy_->timer_driven();
   unfinished_count_ = 0;
   const size_t jobs_reserve = std::max<size_t>(16, 2 * n);
@@ -408,25 +243,15 @@ SimResult Simulator::Run() {
     result_.trace.Reserve(
         std::min<size_t>(options_.max_trace_segments, 1024), 1024);
   }
-  if (use_events_) {
-    events_.Push(options_.horizon_ms, EngineEventType::kHorizon);
-    for (size_t id = 0; id < n; ++id) {
-      if (task_states_[id].next_release_ms < kInf) {
-        events_.Push(task_states_[id].next_release_ms, EngineEventType::kRelease,
-                     static_cast<int>(id));
-      }
-    }
-  }
 
-  ArmHyperperiod();
   BuildContext(now_);
   policy_->OnStart(ctx_, *speed_);
-  queued_wakeup_.reset();
+  pending_wakeup_.reset();
   if (timer_driven_) {
-    SyncPolicyTimer(policy_->NextWakeupMs(ctx_));
+    pending_wakeup_ = policy_->NextWakeupMs(ctx_);
   }
 
-  if (use_events_) {
+  if (aperiodic_.has_value()) {
     if (scheduler_->kind() == SchedulerKind::kEdf) {
       RunLoop<true, SchedulerKind::kEdf>();
     } else {
@@ -484,44 +309,45 @@ SimResult Simulator::Run() {
 template <bool kServer, SchedulerKind kKind>
 void Simulator::RunLoop() {
   const double horizon = options_.horizon_ms;
-  const bool fast_idle = !kServer && options_.fast_paths.idle_skip;
   bool was_idle = false;
 
   while (now_ < horizon - kTimeEpsMs) {
     RTDVS_PROF_SCOPE("sim/step");
     ++result_.fastpath.steps;
     size_t running = Scheduler::kNone;
-    // The picked job's task id (-1 when idle), captured before job
-    // compaction invalidates `running`; the hyperperiod memo records and
-    // verifies it.
-    [[maybe_unused]] int hp_pick = -1;
-    double t_next = horizon;
-    double next_release = kInf;
-    bool idle_fast = false;
 
-    if constexpr (!kServer) {
-      next_release = NextPeriodicReleaseMs();
-      idle_fast = fast_idle && jobs_.empty();
+    // --- Find the next event: the earliest of the horizon, the next
+    // periodic release, the pending policy wakeup and, with a server, the
+    // next aperiodic arrival and the live server job's deadline. Times
+    // within kTimeEpsMs of now are due now, not scheduling points. ---
+    const double next_release = NextPeriodicReleaseMs();
+    double t_next = std::min(horizon, next_release);
+    if (timer_driven_ && pending_wakeup_.has_value() &&
+        *pending_wakeup_ > now_ + kTimeEpsMs) {
+      t_next = std::min(t_next, *pending_wakeup_);
     }
-    if (idle_fast) {
-      // --- Idle skip: no runnable job, so the next scheduling point is the
-      // next release (or a pending timer wakeup) and the whole interval
-      // integrates as one idle segment. Skipping the scheduler pick leaves
-      // preemption tracking untouched, exactly like a pick over an empty
-      // job vector.
-      RTDVS_PROF_SCOPE("sim/fastpath/idle_skip");
-      t_next = std::min(t_next, next_release);
-      if (timer_driven_ && queued_wakeup_.has_value() &&
-          *queued_wakeup_ > now_ + kTimeEpsMs) {
-        t_next = std::min(t_next, *queued_wakeup_);
+    if constexpr (kServer) {
+      if (aperiodic_->NextArrivalMs() > now_ + kTimeEpsMs) {
+        t_next = std::min(t_next, aperiodic_->NextArrivalMs());
       }
+    }
+    // Idle skip: with no job there is nothing to pick, and the interval up
+    // to t_next integrates as one idle segment. Skipping the pick leaves
+    // preemption tracking untouched, exactly like a pick over no jobs.
+    const bool idle_skip = jobs_.empty();
+    if (idle_skip) {
       ++result_.fastpath.idle_skips;
     } else {
       if constexpr (kServer) {
-        // A server job holding budget with an empty queue is not runnable.
         for (auto& job : jobs_) {
           if (IsServerJob(job) && !job.finished) {
+            // A server job holding budget with an empty queue is not
+            // runnable. CBS wake and postpone set deadlines that track no
+            // release, so the server deadline is a scheduling point.
             job.suspended = EffectiveRemaining(job) <= kWorkEps;
+            if (job.deadline_ms > now_ + kTimeEpsMs) {
+              t_next = std::min(t_next, job.deadline_ms);
+            }
           }
         }
       }
@@ -532,30 +358,11 @@ void Simulator::RunLoop() {
         running = ready_.PickTrackedWith(jobs_, RmComparator{periods_.data()},
                                          &result_.preemptions);
       }
-      if constexpr (!kServer) {
-        if (hp_.active() && running != Scheduler::kNone) {
-          hp_pick = jobs_[running].task_id;
-        }
-      }
-
-      // --- Find the next event. ---
-      if constexpr (kServer) {
-        t_next = std::min(t_next, NextQueuedEventTime());
-        if (aperiodic_->NextArrivalMs() > now_ + kTimeEpsMs) {
-          t_next = std::min(t_next, aperiodic_->NextArrivalMs());
-        }
-      } else {
-        t_next = std::min(t_next, next_release);
-        if (timer_driven_ && queued_wakeup_.has_value() &&
-            *queued_wakeup_ > now_ + kTimeEpsMs) {
-          t_next = std::min(t_next, *queued_wakeup_);
-        }
-      }
     }
     double exec_start = now_;
     if (running != Scheduler::kNone) {
       // Completion and switch-halt-end depend on the current speed, so they
-      // are derived analytically each step rather than queued.
+      // are derived analytically each step.
       exec_start = std::max(now_, speed_->blocked_until_ms());
       double frequency = speed_->current().frequency;
       double completion =
@@ -602,7 +409,7 @@ void Simulator::RunLoop() {
         accountant_.RecordSwitchHalt(now_, halt_end, point);
       }
       accountant_.RecordIdle(halt_end, t_next, point);
-      if (idle_fast) {
+      if (idle_skip) {
         result_.fastpath.idle_skipped_ms += t_next - now_;
       }
     }
@@ -613,15 +420,13 @@ void Simulator::RunLoop() {
 
     // --- Apply state changes due at now_: arrivals, completions, misses,
     // releases. ---
-    if constexpr (kServer) {
-      ConsumeDueEvents();
-      aperiodic_->AdmitArrivals(now_);
+    if (next_release <= now_ + kTimeEpsMs) {
+      CollectDueReleases();
     } else {
-      if (next_release <= now_ + kTimeEpsMs) {
-        CollectDueReleases();
-      } else {
-        due_releases_.clear();
-      }
+      due_releases_.clear();
+    }
+    if constexpr (kServer) {
+      aperiodic_->AdmitArrivals(now_);
     }
     completed_.clear();
     released_.clear();
@@ -668,7 +473,6 @@ void Simulator::RunLoop() {
           replacement.deadline_ms = new_deadline;
           replacement.wcet_work = options_.aperiodic.budget_ms;
           replacement.actual_work = options_.aperiodic.budget_ms;
-          QueueJobDeadline(&replacement);
           jobs_.push_back(replacement);
           dirty_.Mark(server_task_id_);
           ++unfinished_count_;
@@ -685,7 +489,6 @@ void Simulator::RunLoop() {
           job.deadline_ms = deadline;
           job.wcet_work = options_.aperiodic.budget_ms;
           job.actual_work = options_.aperiodic.budget_ms;
-          QueueJobDeadline(&job);
           jobs_.push_back(job);
           dirty_.Mark(server_task_id_);
           ++unfinished_count_;
@@ -720,9 +523,6 @@ void Simulator::RunLoop() {
             --unfinished_count_;
             dirty_.Mark(job.task_id);
             any_aborted = true;
-            if (use_events_) {
-              deadline_live_[job.uid - 1] = 0;
-            }
             // Aborted jobs do not count as completions and record no response.
             ++result_.aborted;
             ++result_.task_stats[static_cast<size_t>(job.task_id)].aborted;
@@ -756,21 +556,8 @@ void Simulator::RunLoop() {
     // the callback block entirely; timer-driven policies always get their
     // per-step NextWakeupMs poll.
     const bool entered_idle = unfinished_count_ == 0 && !was_idle;
-    bool replayed = false;
-    if constexpr (!kServer) {
-      // Replay mode substitutes the recorded callback effects for the whole
-      // block below: no context build, no policy execution. Everything else
-      // this iteration did (pick, integration, releases, completions,
-      // misses) ran the real code above.
-      if (hp_.replaying()) {
-        RTDVS_PROF_SCOPE("sim/fastpath/hyperperiod");
-        hp_.ReplayStep(now_, hp_pick, policy_, speed_.get(), machine_);
-        replayed = true;
-      }
-    }
-    if (!replayed &&
-        (timer_driven_ || entered_idle || !completed_.empty() ||
-         !released_.empty() || !completed_after_release_.empty())) {
+    if (timer_driven_ || entered_idle || !completed_.empty() ||
+        !released_.empty() || !completed_after_release_.empty()) {
       RTDVS_PROF_SCOPE("sim/policy/callbacks");
       BuildContext(now_);
       for (int task_id : completed_) {
@@ -785,10 +572,10 @@ void Simulator::RunLoop() {
 
       // Timer wakeup (non-RT interval baseline).
       if (timer_driven_) {
-        if (queued_wakeup_.has_value() && *queued_wakeup_ <= now_ + kTimeEpsMs) {
+        if (pending_wakeup_.has_value() && *pending_wakeup_ <= now_ + kTimeEpsMs) {
           policy_->OnWakeup(ctx_, *speed_);
         }
-        SyncPolicyTimer(policy_->NextWakeupMs(ctx_));
+        pending_wakeup_ = policy_->NextWakeupMs(ctx_);
       }
 
       // Idle notification: fires once per idle period.
@@ -800,19 +587,6 @@ void Simulator::RunLoop() {
       }
     }
     was_idle = unfinished_count_ == 0;
-    if constexpr (!kServer) {
-      if (hp_.active() &&
-          hp_.OnStepEnd(now_, hp_pick, policy_, speed_.get()) ==
-              HyperperiodMemo::StepAction::kResyncPolicy) {
-        // Replay just retired its last whole window: the policy's absolute
-        // snapshots are still frozen at the verification boundary, so
-        // rebuild the context here and let it catch up before the final
-        // (horizon-clamped) partial window runs on the stepped path.
-        RTDVS_PROF_SCOPE("sim/fastpath/hyperperiod");
-        BuildContext(now_);
-        policy_->OnTimeSkip(ctx_);
-      }
-    }
   }
 }
 
@@ -830,12 +604,6 @@ JsonValue FastPathStatsToJson(const FastPathStats& stats) {
   doc.Set("steps", stats.steps);
   doc.Set("idle_skips", stats.idle_skips);
   doc.Set("idle_skipped_ms", stats.idle_skipped_ms);
-  doc.Set("hyperperiod_cycles_verified", stats.hyperperiod_cycles_verified);
-  doc.Set("hyperperiod_cycles_replayed", stats.hyperperiod_cycles_replayed);
-  doc.Set("steps_replayed", stats.steps_replayed);
-  if (!stats.hyperperiod_gate.empty()) {
-    doc.Set("hyperperiod_gate", stats.hyperperiod_gate);
-  }
   return doc;
 }
 

@@ -6,11 +6,15 @@
 // integrates in closed form.
 //
 // The simulator is a thin driver over the shared engine components
-// (src/engine/): an EventQueue schedules releases/deadlines/policy timers
-// in O(log n) instead of rescanning every job per event, a ReadyQueue picks
-// the running job under the active Scheduler, a ContextBuilder derives the
-// PolicyContext, a ModelEnergyAccountant integrates time/energy per
-// segment, and a ModeledSpeedController services policy speed requests.
+// (src/engine/): a ReadyQueue picks the running job under the active
+// Scheduler, a ContextBuilder derives the PolicyContext, a
+// ModelEnergyAccountant integrates time/energy per segment, and a
+// ModeledSpeedController services policy speed requests. No event queue is
+// needed: the next event is the minimum over state the simulator already
+// owns (each task's next release, the pending policy wakeup, the running
+// job's completion and, with an aperiodic server, the next arrival and the
+// server job's deadline). When no job exists the pick is skipped and the
+// whole interval up to the next event integrates as one idle segment.
 // The kernel (src/kernel/) composes the same ContextBuilder /
 // EnergyAccountant / SpeedController seams on its register-level hardware.
 #ifndef SRC_SIM_SIMULATOR_H_
@@ -27,7 +31,6 @@
 #include "src/dvs/policy.h"
 #include "src/engine/context_builder.h"
 #include "src/engine/energy_accountant.h"
-#include "src/engine/event_queue.h"
 #include "src/engine/ready_queue.h"
 #include "src/engine/speed_controller.h"
 #include "src/engine/trace_sink.h"
@@ -37,7 +40,6 @@
 #include "src/rt/job_pool.h"
 #include "src/rt/scheduler.h"
 #include "src/rt/task.h"
-#include "src/sim/hyperperiod.h"
 #include "src/sim/metrics.h"
 
 namespace rtdvs {
@@ -48,25 +50,6 @@ enum class MissPolicy {
   kContinueLate,
   // Abandon remaining work at the deadline (firm real-time semantics).
   kAbortJob,
-};
-
-// Analytic fast paths (ROADMAP item 2). Both default on: every fast path is
-// bit-identical to the stepped path by construction — forced-off runs exist
-// for the equivalence suite (tests/sim/fastpath_test.cc) and for debugging,
-// not because results differ. See DESIGN.md "Hot-path fast paths" for when
-// each path disarms itself at runtime.
-struct FastPathOptions {
-  // Closed-form idle-interval skipping: with no runnable job (and no
-  // aperiodic server), jump straight to the next release/timer wakeup and
-  // charge the idle time/energy as one EnergyAccountant segment.
-  bool idle_skip = true;
-  // Hyperperiod memoization: once the scheduler+policy decision sequence
-  // over one whole hyperperiod is verified to repeat exactly, fast-forward
-  // the remaining whole cycles by replaying the recorded decisions (the
-  // same segment arithmetic, minus scheduling and policy work). Arms only
-  // for stationary exec models, non-timer-driven policies, no trace, no
-  // server; see Simulator::HyperperiodGate.
-  bool hyperperiod = true;
 };
 
 struct SimOptions {
@@ -87,9 +70,6 @@ struct SimOptions {
   bool audit = true;
   // Seed for the execution-time model's randomness.
   uint64_t seed = 1;
-  // Analytic fast paths; results are bit-identical for every setting
-  // (SimResult::fastpath records the coverage).
-  FastPathOptions fast_paths;
   // Optional arena recycling the job vector's heap block across runs on one
   // thread (src/rt/job_pool.h); the sweep runner wires each worker thread's
   // pool in. Null = plain per-run allocation. Results are identical either
@@ -128,48 +108,25 @@ class Simulator {
     double last_actual_work = 0;  // defaults to C_i
   };
 
-  // The event loop, instantiated once per (host mode, scheduler kind).
-  // kServer == true is the aperiodic-server configuration: it keeps the
-  // event queue (server deadlines track no release) and the per-step server
-  // bookkeeping. kServer == false is the pure-periodic configuration every
-  // sweep and bench runs: the only queued events would be releases and the
-  // policy timer, both of which derive from O(num_tasks) state the
-  // simulator already owns — so this instantiation runs queue-free (next
-  // event = min over task next_release, plus the single pending wakeup) and
-  // hosts the idle-skip and hyperperiod fast paths. kKind statically
-  // selects the priority comparator (src/rt/scheduler.h) so the per-step
-  // pick runs with zero virtual dispatch; RM compares through periods_.
+  // The event loop, instantiated once per (server configured, scheduler
+  // kind). kServer adds the aperiodic-server bookkeeping to the one loop
+  // body: arrivals and the server job's deadline join the next-event
+  // minimum, and the server completion, CBS wake/postpone and
+  // release-then-retire rules run at each scheduling point. kKind
+  // statically selects the priority comparator (src/rt/scheduler.h) so the
+  // per-step pick runs with zero virtual dispatch; RM compares through
+  // periods_.
   template <bool kServer, SchedulerKind kKind>
   void RunLoop();
-  // Evaluates the hyperperiod fast path's static gate (stationary exec
-  // model, time-skippable policy, all phases zero, µs-grid periods with a
-  // bounded LCM, horizon covering warmup + two recorded windows + at least
-  // one replayable window) and arms hp_ when it passes; otherwise records
-  // the first failing condition in result_.fastpath.hyperperiod_gate.
-  void ArmHyperperiod();
-  // Queue-free mode: earliest pending periodic release across all tasks.
+  // Earliest pending periodic release across all tasks.
   double NextPeriodicReleaseMs() const;
-  // Queue-free mode: fills due_releases_ (task-id order, the same order the
-  // event-queue path produces after its sort) with every task whose next
-  // release is due at now_.
+  // Fills due_releases_ (task-id order) with every task whose next release
+  // is due at now_.
   void CollectDueReleases();
-  // Creates all invocations due at `now` for the tasks in due_releases_
-  // (set by ConsumeDueEvents), queueing each new job's deadline event and
-  // the task's next release event.
+  // Creates all invocations due at `now` for the tasks in due_releases_.
   void ReleaseDueJobs(double now, std::vector<int>* released);
   // Refreshes ctx_ for the tasks in dirty_ and clears it.
   void BuildContext(double now);
-  // Registers the job with the event queue (uid + deadline event).
-  void QueueJobDeadline(Job* job);
-  // Earliest valid queued event time, discarding stale entries (deadline
-  // events whose job died or already passed, superseded policy timers).
-  double NextQueuedEventTime();
-  // Pops every event due at now_ (within kTimeEpsMs) and collects the due
-  // release task ids, sorted, into due_releases_.
-  void ConsumeDueEvents();
-  // Re-arms the policy-timer event when the policy's requested wakeup
-  // changed; older timer events are superseded via the generation counter.
-  void SyncPolicyTimer(const std::optional<double>& wakeup);
   bool IsServerJob(const Job& job) const {
     return server_task_id_ >= 0 && job.task_id == server_task_id_;
   }
@@ -197,30 +154,20 @@ class Simulator {
   SimResult result_;
 
   // Engine components (src/engine/).
-  EventQueue events_;
   ReadyQueue ready_;
   ContextBuilder context_builder_;
   // Tasks whose TaskRuntimeView inputs changed since the last BuildContext:
   // marked where a task executes, releases, completes (server jobs
   // included), is aborted, or gets a CBS wake/postpone job. Marks persist
-  // across steps that skip the callback block (and across hyperperiod
-  // replay) until the next build consumes them.
+  // across steps that skip the callback block until the next build
+  // consumes them.
   DirtyTasks dirty_;
   ModelEnergyAccountant accountant_;
   TraceRecorderSink trace_sink_;
   std::unique_ptr<ModeledSpeedController> speed_;
-  // Liveness of job uid u at [u - 1]; validates queued deadline events.
-  // Uids are assigned densely from 1 per run, so a flat vector beats a hash
-  // set (no allocation per job on the release hot path).
-  std::vector<uint8_t> deadline_live_;
-  uint64_t next_job_uid_ = 1;
-  // Only the newest queued policy-timer event is valid.
-  uint64_t timer_generation_ = 0;
-  std::optional<double> queued_wakeup_;
+  // The policy's latest NextWakeupMs answer (timer-driven policies only).
+  std::optional<double> pending_wakeup_;
   std::vector<int> due_releases_;
-  // False in the queue-free (no-server) loop: events_ / deadline_live_ stay
-  // untouched and scheduling points derive from task state directly.
-  bool use_events_ = false;
   // Cached policy_->timer_driven(): gates every NextWakeupMs/OnWakeup call.
   bool timer_driven_ = false;
   // Jobs in jobs_ with finished == false, maintained incrementally so the
@@ -237,9 +184,6 @@ class Simulator {
   // Cached ExecTimeModel::constant_fraction(): skips the virtual draw per
   // release for constant models (bit-identical by that method's contract).
   std::optional<double> const_fraction_;
-  // Hyperperiod record/verify/replay state machine (src/sim/hyperperiod.h);
-  // inert (Mode::kOff) unless ArmHyperperiod's gate passes.
-  HyperperiodMemo hp_;
 
   std::optional<AperiodicServerState> aperiodic_;
   int server_task_id_ = -1;

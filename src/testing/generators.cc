@@ -479,44 +479,6 @@ FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options) {
       c.horizon_ms = SnapMicro(std::max(c.horizon_ms, 2.2 * mp_max_period));
     }
   }
-
-  // Hyperperiod bias (appended last; see FuzzGenOptions): rewrite the case
-  // into one the hyperperiod memo can actually arm on. Everything the
-  // exact-arithmetic gate checks is regenerated dyadic; fields it ignores
-  // (idle level, miss policy, cores) keep their draws above.
-  if (options.hyperperiod_bias > 0.0 &&
-      rng.NextDouble() < options.hyperperiod_bias) {
-    // Machine: 1-3 power-of-two frequencies below the mandatory 1.0.
-    const int num_low = 1 + static_cast<int>(rng.NextBounded(3));
-    c.machine_points.clear();
-    double voltage = std::round(rng.UniformDouble(0.8, 1.6) * 1000.0) / 1000.0;
-    for (int i = num_low; i >= 0; --i) {
-      c.machine_points.push_back({std::ldexp(1.0, -i), voltage});
-      voltage += std::round(rng.UniformDouble(0.1, 0.8) * 1000.0) / 1000.0;
-    }
-    // Tasks: harmonic power-of-two periods, WCETs on the 2^-6 ms grid,
-    // zero phases (the gate rejects any phase).
-    const int num_dyadic = 2 + static_cast<int>(rng.NextBounded(3));
-    c.tasks.clear();
-    double hyperperiod = 0.0;
-    for (int i = 0; i < num_dyadic; ++i) {
-      const double period = std::ldexp(1.0, static_cast<int>(rng.NextBounded(4)));
-      const double wcet =
-          period * static_cast<double>(1 + rng.NextBounded(24)) / 64.0;
-      c.tasks.push_back({StrFormat("H%d", i + 1), period, wcet, 0.0});
-      hyperperiod = std::max(hyperperiod, period);
-    }
-    // Constant dyadic fraction: fraction * wcet stays on the dyadic grid.
-    static const char* kDyadicFractions[] = {"c:1", "c:0.5", "c:0.25",
-                                             "c:0.75"};
-    c.exec_spec = kDyadicFractions[rng.NextBounded(4)];
-    // Switch time must be dyadic too; 0.5 exercises transition stalls
-    // inside replayed windows.
-    c.switch_time_ms = rng.NextBounded(3) == 0 ? 0.5 : 0.0;
-    // Long horizon: 16..64 whole hyperperiods past warmup + verification.
-    c.horizon_ms =
-        hyperperiod * static_cast<double>(16 + rng.NextBounded(49));
-  }
   return c;
 }
 

@@ -107,16 +107,6 @@ struct FuzzGenOptions {
   // A draw of 1 leaves the case single-core; a draw of M > 1 also rescales
   // the task set (count and target utilization) to the cluster.
   std::vector<int> core_choices = {1};
-  // Probability of rewriting a drawn case into a long-horizon harmonic
-  // scenario that passes the hyperperiod fast path's exact-arithmetic gate
-  // (power-of-two periods and machine frequencies, dyadic WCETs and
-  // constant fractions, zero phases, horizon of 16-64 hyperperiods) — so
-  // fuzz campaigns actually exercise hyperperiod record/verify/replay
-  // instead of always failing the dyadic gate. 0 (the default) draws
-  // nothing extra, keeping the rng stream byte-identical to older
-  // generators; a positive bias appends its draws after every existing
-  // field for the same reason.
-  double hyperperiod_bias = 0.0;
 };
 
 // Draws one scenario. Deterministic in the rng state: the same seeded rng

@@ -102,8 +102,9 @@ const char* const kGoldenRepros[] = {
     "switch=0.10000000000000001;miss=late;seed=1",
 };
 
-TEST(DifferentialTest, GoldenShrunkenScenariosAgree) {
-  for (const char* repro : kGoldenRepros) {
+template <size_t N>
+void ExpectReprosAgree(const char* const (&repros)[N]) {
+  for (const char* repro : repros) {
     std::string error;
     auto c = ParseRepro(repro, &error);
     ASSERT_TRUE(c.has_value()) << error;
@@ -111,6 +112,10 @@ TEST(DifferentialTest, GoldenShrunkenScenariosAgree) {
     EXPECT_TRUE(run.agreed) << "repro: " << repro << "\n"
                             << DescribeDiffs(run.diffs);
   }
+}
+
+TEST(DifferentialTest, GoldenShrunkenScenariosAgree) {
+  ExpectReprosAgree(kGoldenRepros);
 }
 
 TEST(DifferentialTest, GoldenScenariosStillDetectInjectedIdleSwitchBug) {
@@ -124,6 +129,26 @@ TEST(DifferentialTest, GoldenScenariosStillDetectInjectedIdleSwitchBug) {
                                 "path: "
                              << repro;
   }
+}
+
+// Two overloaded static_rm cases on power-of-two machines with dyadic
+// periods, constant fractions and zero phases: the only inputs on which the
+// simulator's former hyperperiod memo armed, and on which its replay check
+// aborted the process once the backlog made consecutive windows differ.
+// They come from fuzz campaigns at seed 13 (trial 1442, every trial biased
+// to such inputs) and seed 11 (trial 2913).
+const char* const kDyadicBacklogRepros[] = {
+    "rtdvs-fuzz-v1;policy=static_rm;machine=0.125/1.397,0.25/1.694,0.5/1.899,"
+    "1/2.4790000000000001;tasks=1:0.3125:0,1:0.375:0,1:0.265625:0,8:1.75:0;"
+    "exec=c:1;horizon=384;idle=0.10000000000000001;switch=0;miss=late;"
+    "seed=13222989868369341613",
+    "rtdvs-fuzz-v1;policy=static_rm;machine=0.5/1.036,1/1.603;"
+    "tasks=1:0.25:0,2:0.4375:0,2:0.75:0,1:0.3125:0;exec=c:1;horizon=128;"
+    "idle=0;switch=0.5;miss=late;seed=9181154653304881684",
+};
+
+TEST(DifferentialTest, DyadicBacklogScenariosAgree) {
+  ExpectReprosAgree(kDyadicBacklogRepros);
 }
 
 TEST(DifferentialTest, DetectsInjectedMissOrderingBug) {

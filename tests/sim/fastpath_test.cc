@@ -1,12 +1,12 @@
-// Forced-on vs forced-off equivalence suite for the analytic fast paths
-// (SimOptions::fast_paths), plus targeted coverage that each path actually
-// engages and that the hyperperiod gate rejects what it must reject.
+// Hot-path coverage for the production simulator: every paper policy x
+// exec-model family x machine, plus the switch-cost/abort/trace regimes,
+// must agree bit for bit with the reference oracle (src/sim/reference_sim.h,
+// ResultsAgree), which steps without idle skipping; idle skipping must
+// actually engage, on periodic and aperiodic-server runs alike; and the
+// JobPool arena must not change any result.
 //
-// The contract under test (metrics.h, FastPathStats): toggling any fast
-// path changes ONLY the FastPathStats diagnostics — every other SimResult
-// field, doubles included, is bit-identical. The comparisons here are
-// therefore bitwise (memcmp of the double patterns), not EXPECT_NEAR: a
-// one-ulp drift is a real failure of the fast-path design.
+// The comparisons here are bitwise (memcmp of the double patterns), not
+// EXPECT_NEAR: a one-ulp drift is a real failure.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,10 @@
 #include "src/rt/exec_time_model.h"
 #include "src/rt/job_pool.h"
 #include "src/rt/task.h"
+#include "src/sim/reference_sim.h"
 #include "src/sim/simulator.h"
+#include "src/testing/differential.h"
+#include "src/util/strings.h"
 
 namespace rtdvs {
 namespace {
@@ -35,7 +38,7 @@ uint64_t Bits(double v) {
   EXPECT_EQ(Bits(a), Bits(b)) << #a " = " << (a) << " vs " << (b)
 
 // Bitwise equality over every SimResult field EXCEPT FastPathStats (which
-// is execution diagnostics and differs by design) — see metrics.h.
+// is execution diagnostics) — see metrics.h.
 void ExpectBitIdentical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.policy_name, b.policy_name);
   EXPECT_EQ(a.scheduler, b.scheduler);
@@ -119,7 +122,7 @@ void ExpectBitIdentical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.audit.violations.size(), b.audit.violations.size());
 }
 
-// One scenario of the equivalence matrix: rebuilt fresh per run (policies
+// One scenario of the oracle matrix: rebuilt fresh per run (policies
 // and exec models are mutated by Run()).
 struct Scenario {
   TaskSet tasks;
@@ -151,18 +154,23 @@ std::unique_ptr<ExecTimeModel> MakeModel(const std::string& kind) {
   return std::make_unique<ConstantFractionModel>(1.0);
 }
 
-SimResult RunScenario(const Scenario& s, bool fast_paths_on) {
-  SimOptions options = s.options;
-  options.fast_paths.idle_skip = fast_paths_on;
-  options.fast_paths.hyperperiod = fast_paths_on;
+SimResult RunScenario(const Scenario& s) {
   std::unique_ptr<ExecTimeModel> model = MakeModel(s.exec_kind);
-  return RunSimulation(s.tasks, s.machine, s.policy_id, *model, options);
+  return RunSimulation(s.tasks, s.machine, s.policy_id, *model, s.options);
 }
 
-void ExpectForcedOnOffIdentical(const Scenario& s) {
+void ExpectAgreesWithReference(const Scenario& s) {
   SCOPED_TRACE(s.policy_id + " x " + s.exec_kind + " x " + s.machine.name());
-  ExpectBitIdentical(RunScenario(s, /*fast_paths_on=*/false),
-                     RunScenario(s, /*fast_paths_on=*/true));
+  const SimResult production = RunScenario(s);
+  std::unique_ptr<ExecTimeModel> model = MakeModel(s.exec_kind);
+  const SimResult reference = RunReferenceSimulation(
+      s.tasks, s.machine, s.policy_id, *model, s.options);
+  std::vector<FieldDiff> diffs;
+  EXPECT_TRUE(ResultsAgree(production, reference, &diffs));
+  for (const FieldDiff& d : diffs) {
+    ADD_FAILURE() << StrFormat("%s: production=%.17g reference=%.17g",
+                               d.field.c_str(), d.production, d.reference);
+  }
 }
 
 // A mixed-regime task set: non-harmonic periods, a phase, enough slack for
@@ -173,8 +181,7 @@ TaskSet MixedTasks() {
                   {"c", 35.0, 5.0, 0.0}});
 }
 
-// The full matrix the satellite asks for: every paper policy x every
-// exec-model family x machines 0-2, forced on vs forced off.
+// Every paper policy x every exec-model family x machines 0-2.
 TEST(FastPathEquivalence, EveryPolicyEveryExecModelEveryMachine) {
   const std::vector<MachineSpec> machines = {MachineSpec::Machine0(),
                                              MachineSpec::Machine1(),
@@ -192,15 +199,15 @@ TEST(FastPathEquivalence, EveryPolicyEveryExecModelEveryMachine) {
         s.options.horizon_ms = 300.0;
         s.options.idle_level = 0.1;
         s.options.seed = 7;
-        ExpectForcedOnOffIdentical(s);
+        ExpectAgreesWithReference(s);
       }
     }
   }
 }
 
-// Regime variations that exercise the fast paths' disable/limit conditions:
-// switch cost, abort-on-miss, recorded traces (hyperperiod must gate out,
-// idle skip must still be identical).
+// Regime variations: switch cost (halts on the busy and the idle path),
+// abort-on-miss, and recorded traces (the oracle ignores traces; recording
+// must not change any other result).
 TEST(FastPathEquivalence, SwitchCostAbortMissAndTraceRegimes) {
   for (const std::string& policy_id : AllPaperPolicyIds()) {
     Scenario s;
@@ -210,7 +217,7 @@ TEST(FastPathEquivalence, SwitchCostAbortMissAndTraceRegimes) {
     s.options.switch_time_ms = 0.4;
     s.options.miss_policy = MissPolicy::kAbortJob;
     s.options.record_trace = true;
-    ExpectForcedOnOffIdentical(s);
+    ExpectAgreesWithReference(s);
   }
 }
 
@@ -222,134 +229,27 @@ TEST(IdleSkip, EngagesOnLowUtilizationAndStaysBitIdentical) {
   s.policy_id = "cc_edf";
   s.options.horizon_ms = 1000.0;
   s.options.idle_level = 0.2;
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_GT(on.fastpath.idle_skips, 0);
-  EXPECT_GT(on.fastpath.idle_skipped_ms, 0.0);
-  const SimResult off = RunScenario(s, /*fast_paths_on=*/false);
-  EXPECT_EQ(off.fastpath.idle_skips, 0);
-  ExpectBitIdentical(off, on);
+  const SimResult result = RunScenario(s);
+  EXPECT_GT(result.fastpath.idle_skips, 0);
+  EXPECT_GT(result.fastpath.idle_skipped_ms, 0.0);
+  ExpectAgreesWithReference(s);
 }
 
-// --- Hyperperiod memoization ---
-
-// A workload that passes the exact-arithmetic gate: dyadic periods/WCETs,
-// zero phases, a constant-fraction model whose per-task work is dyadic, and
-// a machine whose frequencies are powers of two.
-MachineSpec DyadicMachine() {
-  return MachineSpec("dyadic", {{0.25, 2.0}, {0.5, 3.0}, {1.0, 5.0}});
-}
-
-TaskSet DyadicTasks() {
-  return TaskSet({{"d2", 2.0, 0.5, 0.0},
-                  {"d4", 4.0, 1.0, 0.0},
-                  {"d8", 8.0, 2.0, 0.0}});
-}
-
-Scenario DyadicScenario(const std::string& policy_id) {
+TEST(IdleSkip, EngagesOnPollingServerRuns) {
+  // A polling server retires its job as soon as its queue is empty, so
+  // sparse arrivals leave intervals with no job at all.
   Scenario s;
-  s.tasks = DyadicTasks();
-  s.machine = DyadicMachine();
-  s.policy_id = policy_id;
-  s.exec_kind = "const_half";
-  s.options.horizon_ms = 200.0;  // hyperperiod 8 ms -> 25 whole cycles
-  s.options.idle_level = 0.1;
-  return s;
-}
-
-TEST(Hyperperiod, ReplayEngagesForEveryTimeSkippablePolicy) {
-  // The six paper policies all support time skip (statEDF's ring history
-  // lives in the interval policy, which is timer-driven and gates out
-  // separately).
-  for (const std::string& policy_id : AllPaperPolicyIds()) {
-    SCOPED_TRACE(policy_id);
-    const Scenario s = DyadicScenario(policy_id);
-    const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-    EXPECT_EQ(on.fastpath.hyperperiod_gate, "");
-    EXPECT_EQ(on.fastpath.hyperperiod_cycles_verified, 2);
-    EXPECT_GT(on.fastpath.hyperperiod_cycles_replayed, 0);
-    EXPECT_GT(on.fastpath.steps_replayed, 0);
-    const SimResult off = RunScenario(s, /*fast_paths_on=*/false);
-    EXPECT_EQ(off.fastpath.hyperperiod_cycles_replayed, 0);
-    ExpectBitIdentical(off, on);
-  }
-}
-
-TEST(Hyperperiod, ReplayCoversMostWholeCycles) {
-  // Horizon 200 ms / H 8 ms = 25 whole cycles: one warmup, two recorded,
-  // and the final window is never replayed (it must end strictly before the
-  // horizon), leaving at least 20 replayed.
-  const SimResult on =
-      RunScenario(DyadicScenario("cc_edf"), /*fast_paths_on=*/true);
-  EXPECT_GE(on.fastpath.hyperperiod_cycles_replayed, 20);
-}
-
-TEST(Hyperperiod, GateRejectsNonDyadicPeriods) {
-  // The empirically observed failure mode the gate exists for: 17.759 ms is
-  // off the 2^-20 grid, and such periods have produced two bitwise-equal
-  // windows followed by a low-bit divergence in window three.
-  Scenario s = DyadicScenario("cc_edf");
-  s.tasks = TaskSet({{"offgrid", 17.759, 2.0, 0.0}, {"d4", 4.0, 1.0, 0.0}});
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "task parameters off the dyadic grid");
-  EXPECT_EQ(on.fastpath.hyperperiod_cycles_replayed, 0);
-}
-
-TEST(Hyperperiod, GateRejectsNonPowerOfTwoFrequencies) {
-  Scenario s = DyadicScenario("cc_edf");
-  s.machine = MachineSpec::Machine0();  // 0.75 is not a power of two
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "machine frequencies not powers of two");
-}
-
-TEST(Hyperperiod, GateRejectsNonZeroPhases) {
-  Scenario s = DyadicScenario("cc_edf");
-  s.tasks = TaskSet({{"d2", 2.0, 0.5, 0.0}, {"ph", 4.0, 1.0, 1.0}});
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "nonzero task phase");
-}
-
-TEST(Hyperperiod, GateRejectsNonConstantExecModels) {
-  Scenario s = DyadicScenario("cc_edf");
-  s.exec_kind = "uniform";
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "non-stationary exec model");
-}
-
-TEST(Hyperperiod, GateRejectsTraceRecording) {
-  Scenario s = DyadicScenario("cc_edf");
-  s.options.record_trace = true;
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "trace recording");
-}
-
-TEST(Hyperperiod, GateRejectsShortHorizons) {
-  Scenario s = DyadicScenario("cc_edf");
-  s.options.horizon_ms = 32.0;  // exactly 4 x 8 ms: one window short
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate,
-            "horizon shorter than four hyperperiods");
-}
-
-TEST(Hyperperiod, DisabledOptionLeavesGateEmptyAndNeverReplays) {
-  Scenario s = DyadicScenario("cc_edf");
-  SimOptions options = s.options;
-  options.fast_paths.hyperperiod = false;
-  std::unique_ptr<ExecTimeModel> model = MakeModel(s.exec_kind);
-  const SimResult result =
-      RunSimulation(s.tasks, s.machine, s.policy_id, *model, options);
-  EXPECT_EQ(result.fastpath.hyperperiod_gate, "");
-  EXPECT_EQ(result.fastpath.hyperperiod_cycles_replayed, 0);
-  EXPECT_EQ(result.fastpath.hyperperiod_cycles_verified, 0);
-}
-
-TEST(Hyperperiod, SwitchCostRunStaysBitIdentical) {
-  // A dyadic switch time keeps the gate open; transition stalls and their
-  // blocked-until bookkeeping must replay exactly.
-  Scenario s = DyadicScenario("cc_edf");
-  s.options.switch_time_ms = 0.5;
-  const SimResult on = RunScenario(s, /*fast_paths_on=*/true);
-  EXPECT_EQ(on.fastpath.hyperperiod_gate, "");
-  ExpectBitIdentical(RunScenario(s, /*fast_paths_on=*/false), on);
+  s.tasks = TaskSet({{"sparse", 50.0, 2.0, 0.0}});
+  s.policy_id = "cc_edf";
+  s.options.horizon_ms = 1000.0;
+  s.options.aperiodic.kind = ServerKind::kPolling;
+  s.options.aperiodic.period_ms = 10.0;
+  s.options.aperiodic.budget_ms = 1.0;
+  s.options.aperiodic.arrivals.mean_interarrival_ms = 40.0;
+  const SimResult result = RunScenario(s);
+  EXPECT_GT(result.aperiodic.completions, 0);
+  EXPECT_GT(result.fastpath.idle_skips, 0);
+  EXPECT_GT(result.fastpath.idle_skipped_ms, 0.0);
 }
 
 // --- Arena (JobPool) ---
@@ -363,12 +263,12 @@ TEST(JobPoolArena, PooledAndPlainRunsAreBitIdentical) {
     s.exec_kind = "uniform";
     s.options.horizon_ms = 300.0;
     s.options.record_trace = true;
-    const SimResult plain = RunScenario(s, /*fast_paths_on=*/true);
+    const SimResult plain = RunScenario(s);
     JobPool pool;
     s.options.job_pool = &pool;
     // Two pooled runs back to back: the second reuses the recycled block.
-    const SimResult pooled_first = RunScenario(s, /*fast_paths_on=*/true);
-    const SimResult pooled_second = RunScenario(s, /*fast_paths_on=*/true);
+    const SimResult pooled_first = RunScenario(s);
+    const SimResult pooled_second = RunScenario(s);
     ExpectBitIdentical(plain, pooled_first);
     ExpectBitIdentical(plain, pooled_second);
   }
@@ -376,7 +276,7 @@ TEST(JobPoolArena, PooledAndPlainRunsAreBitIdentical) {
 
 // Regression for the arena migration: the trace capacity limit must count
 // arena-backed segments identically — same truncation point, same audit
-// skip reasons, with the pool wired in or not and fast paths on or off.
+// skip reasons, with the pool wired in or not.
 TEST(JobPoolArena, TraceTruncationAccountingUnchanged) {
   Scenario s;
   s.tasks = MixedTasks();
@@ -384,22 +284,20 @@ TEST(JobPoolArena, TraceTruncationAccountingUnchanged) {
   s.options.horizon_ms = 300.0;
   s.options.record_trace = true;
   s.options.max_trace_segments = 16;  // far below the run's segment count
-  const SimResult plain_off = RunScenario(s, /*fast_paths_on=*/false);
-  const SimResult plain_on = RunScenario(s, /*fast_paths_on=*/true);
+  const SimResult plain = RunScenario(s);
   JobPool pool;
   s.options.job_pool = &pool;
-  const SimResult pooled_on = RunScenario(s, /*fast_paths_on=*/true);
+  const SimResult pooled = RunScenario(s);
 
-  EXPECT_TRUE(plain_off.trace.truncated());
+  EXPECT_TRUE(plain.trace.truncated());
   // Contiguous-identical segments merge, so the stored count can sit under
   // the capacity limit; what matters is that it is the same count, and the
-  // same truncation flag, for every execution strategy.
-  EXPECT_LE(plain_off.trace.segments().size(), 16u);
-  ExpectBitIdentical(plain_off, plain_on);
-  ExpectBitIdentical(plain_off, pooled_on);
+  // same truncation flag, with or without the pool.
+  EXPECT_LE(plain.trace.segments().size(), 16u);
+  ExpectBitIdentical(plain, pooled);
   // The audit must report the narrowed coverage, not silently shrink.
   bool saw_truncation_skip = false;
-  for (const std::string& reason : pooled_on.audit.skip_reasons) {
+  for (const std::string& reason : pooled.audit.skip_reasons) {
     if (reason.find("truncated") != std::string::npos) {
       saw_truncation_skip = true;
     }

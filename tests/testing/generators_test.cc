@@ -231,56 +231,5 @@ TEST(GeneratorsTest, ExecModelGrammarCoversAllForms) {
   EXPECT_EQ(MakeFuzzExecModel("nope"), nullptr);
 }
 
-TEST(GeneratorsTest, HyperperiodBiasProducesCasesThatEngageTheMemo) {
-  // With the bias at 1 every drawn case is rewritten dyadic; running it must
-  // pass the hyperperiod gate and actually replay whole cycles — the point
-  // of the bias is that fuzz campaigns exercise record/verify/replay.
-  Pcg32 rng(123);
-  FuzzGenOptions options;
-  options.hyperperiod_bias = 1.0;
-  int replayed = 0;
-  for (int i = 0; i < 12; ++i) {
-    const FuzzCase c = GenerateFuzzCase(rng, options);
-    ASSERT_EQ(c.num_cores, 1);
-    for (const Task& task : c.tasks) {
-      EXPECT_EQ(task.phase_ms, 0.0);
-      EXPECT_GT(task.wcet_ms, 0.0);
-      EXPECT_LE(task.wcet_ms, task.period_ms);
-    }
-    auto model = MakeFuzzExecModel(c.exec_spec);
-    ASSERT_NE(model, nullptr) << c.exec_spec;
-    const SimResult result = RunSimulation(FuzzTasks(c), FuzzMachine(c),
-                                           c.policy_id, *model,
-                                           FuzzSimOptions(c));
-    // Every biased case must pass the static gate and arm. Verification can
-    // still honestly fail at runtime (e.g. an overloaded set whose backlog
-    // grows across windows), which disarms with the window-mismatch reason;
-    // any OTHER reason means the bias generated an ineligible case.
-    if (!result.fastpath.hyperperiod_gate.empty()) {
-      EXPECT_EQ(result.fastpath.hyperperiod_gate,
-                "consecutive hyperperiod windows not bitwise identical")
-          << FuzzCaseToRepro(c);
-    }
-    if (result.fastpath.hyperperiod_cycles_replayed > 0) {
-      ++replayed;
-    }
-  }
-  // Most cases verify and replay whole cycles.
-  EXPECT_GE(replayed, 7);
-}
-
-TEST(GeneratorsTest, HyperperiodBiasedReproStringsRoundTrip) {
-  Pcg32 rng(321);
-  FuzzGenOptions options;
-  options.hyperperiod_bias = 1.0;
-  for (int i = 0; i < 20; ++i) {
-    const FuzzCase c = GenerateFuzzCase(rng, options);
-    std::string error;
-    auto parsed = ParseRepro(FuzzCaseToRepro(c), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_TRUE(FuzzCaseEquals(c, *parsed));
-  }
-}
-
 }  // namespace
 }  // namespace rtdvs

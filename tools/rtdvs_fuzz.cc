@@ -57,7 +57,6 @@ int Main(int argc, char** argv) {
   std::string repro;
   std::string inject_bug = "none";
   std::string repro_out;
-  double hyperperiod_bias = 0.2;
   bool shrink = true;
   bool properties = true;
   bool verbose = false;
@@ -87,10 +86,6 @@ int Main(int argc, char** argv) {
                   "none|idle-switch|miss-order (a healthy campaign must then fail)");
   flags.AddString("repro-out", &repro_out,
                   "append shrunken repro strings of failures to this file");
-  flags.AddDouble("hyperperiod-bias", &hyperperiod_bias,
-                  "probability of rewriting a trial into a long-horizon "
-                  "harmonic dyadic scenario that engages hyperperiod "
-                  "memoization (0 disables the bias)");
   flags.AddBool("shrink", &shrink, "greedily minimize failing cases");
   flags.AddBool("properties", &properties,
                 "also check metamorphic properties (lower bound, noDVS vs "
@@ -135,13 +130,6 @@ int Main(int argc, char** argv) {
       gen_options.core_choices.push_back(static_cast<int>(*parsed));
     }
   }
-
-  if (hyperperiod_bias < 0.0 || hyperperiod_bias > 1.0) {
-    std::fprintf(stderr, "bad --hyperperiod-bias %g (want 0..1)\n",
-                 hyperperiod_bias);
-    return 1;
-  }
-  gen_options.hyperperiod_bias = hyperperiod_bias;
 
   const auto start = std::chrono::steady_clock::now();
 
