@@ -73,7 +73,7 @@ struct ReferenceFaults {
 // `policy` and `exec_model` must be fresh instances (both are mutated), and
 // options.aperiodic.kind must be kNone. The result's trace is empty and its
 // audit is not run (result.audit.audited == false); preemptions are counted
-// with the same definition as production but are diagnostic-only.
+// with the same definition as production and compared exactly.
 SimResult RunReferenceSimulation(const TaskSet& tasks, const MachineSpec& machine,
                                  DvsPolicy& policy, ExecTimeModel& exec_model,
                                  const SimOptions& options,

@@ -72,6 +72,8 @@ bool ResultsAgree(const SimResult& production, const SimResult& reference,
              reference.wcet_overruns);
   CheckExact(diffs, &agreed, "speed_switches", production.speed_switches,
              reference.speed_switches);
+  CheckExact(diffs, &agreed, "preemptions", production.preemptions,
+             reference.preemptions);
 
   CheckNear(diffs, &agreed, "exec_energy", production.exec_energy,
             reference.exec_energy);

@@ -4,13 +4,11 @@
 //
 // Comparison contract:
 //   - event counters (releases, completions, misses, aborts, unfinished,
-//     overruns, speed switches) must agree exactly;
+//     overruns, speed switches, preemptions) must agree exactly;
 //   - energies, times and work must agree within 1e-9 absolute plus a tiny
 //     relative term (both engines use the same expression grouping, so the
 //     slack only absorbs accumulated rounding over long horizons);
-//   - per-point residency and per-task stats are compared the same way;
-//   - `preemptions` is excluded: it is a diagnostic heuristic, not part of
-//     the behavioral contract (see metrics.h).
+//   - per-point residency and per-task stats are compared the same way.
 //
 // Metamorphic properties are theorems about the production engine alone;
 // each is gated on the preconditions under which it actually is a theorem
