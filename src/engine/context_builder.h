@@ -84,8 +84,8 @@ class ContextBuilder {
   // defines the task's current invocation). `snapshot` is called once per
   // dirty id. Views outside `dirty` are left as the previous Build of `ctx`
   // derived them, so the first build of a context must mark every task. A
-  // null `dirty` stands for every task; hosts that do not track mutations
-  // (the kernel, the global cluster engine) build that way each time. The
+  // null `dirty` stands for every task; a host that does not track
+  // mutations (the kernel) builds that way each time. The
   // caller clears `dirty` once the context is consumed.
   template <typename SnapshotFn>
   void Build(double now_ms, const std::vector<Job>& jobs,

@@ -33,36 +33,12 @@ class ReadyQueue {
     return scheduler_->PickJob(jobs, tasks);
   }
 
-  // Pick() plus preemption detection: increments *preemptions when a
+  // Pick() plus preemption detection, with an inline comparator
+  // (EdfComparator / RmComparator or any callable matching
+  // Scheduler::HigherPriority's order): increments *preemptions when a
   // different job wins while the previously picked invocation is still
   // unfinished in `jobs`. Idle intervals do not reset the tracking (a job
-  // resuming after idle is not a preemption).
-  size_t PickTracked(const std::vector<Job>& jobs, const TaskSet& tasks,
-                     int64_t* preemptions) {
-    size_t running = Pick(jobs, tasks);
-    if (running == Scheduler::kNone) {
-      return running;
-    }
-    const Job& job = jobs[running];
-    if (previous_task_ >= 0 && (job.task_id != previous_task_ ||
-                                job.invocation != previous_invocation_)) {
-      // Was the previously running job still unfinished?
-      for (const auto& other : jobs) {
-        if (other.task_id == previous_task_ &&
-            other.invocation == previous_invocation_ && !other.finished) {
-          ++*preemptions;
-          break;
-        }
-      }
-    }
-    previous_task_ = job.task_id;
-    previous_invocation_ = job.invocation;
-    return running;
-  }
-
-  // PickTracked with an inline comparator (EdfComparator / RmComparator or
-  // any callable matching Scheduler::HigherPriority's order): for hosts
-  // that know the scheduler kind statically, the whole selection+tracking
+  // resuming after idle is not a preemption). The whole selection+tracking
   // step compiles down to one loop with zero virtual dispatch. Must be
   // handed a comparator implementing the SAME order as the bound
   // scheduler — both routes share the comparison functions in
@@ -99,11 +75,8 @@ class ReadyQueue {
   // job per task — a task's backlogged invocations never run in parallel.
   // Deterministic: ties resolve by the scheduler's total order (EDF/RM both
   // break ties by task id then release), and the stable sort preserves
-  // creation order beyond that. Returns indices into `jobs`.
-  // Returns a reference to member scratch, valid until the next PickTopK
-  // call on this queue (the global-mode loop consumes it immediately; it
-  // previously returned a fresh vector per step, three allocations per
-  // global scheduling decision).
+  // creation order beyond that. Returns indices into `jobs`, as a reference
+  // to member scratch valid until the next PickTopK call on this queue.
   const std::vector<size_t>& PickTopK(const std::vector<Job>& jobs,
                                       const TaskSet& tasks, size_t k) {
     RTDVS_PROF_SCOPE("engine/ready_queue/pick_top_k");

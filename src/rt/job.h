@@ -8,6 +8,9 @@ namespace rtdvs {
 
 struct Job {
   int task_id = -1;
+  // Global multiprocessor scheduling only: the core this job last ran on
+  // (-1 = never dispatched).
+  int last_core = -1;
   // No caller in src/; kept because perfbench/ overrides or reads it.
   uint64_t uid = 0;
   // 0-based invocation index of this task.
@@ -28,6 +31,9 @@ struct Job {
   bool suspended = false;
   // Set when the deadline passed before completion.
   bool missed = false;
+  // Global multiprocessor scheduling only: the job held a core in the
+  // previous segment (preemption accounting).
+  bool dispatched = false;
   // Completion timestamp, valid when finished.
   double completion_ms = 0;
 

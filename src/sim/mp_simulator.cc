@@ -1,7 +1,5 @@
 #include "src/sim/mp_simulator.h"
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -9,12 +7,9 @@
 #include "src/util/check.h"
 #include "src/util/json.h"
 #include "src/util/profiler.h"
-#include "src/util/time_eps.h"
 
 namespace rtdvs {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Per-core RNG stream for partitioned mode. Core 0 keeps the request seed,
 // so an M=1 request is bit-identical to the legacy single-core path; higher
@@ -191,418 +186,38 @@ void RunPartitioned(const SimRequest& request,
   }
 }
 
-// --- Global mode (M > 1): one cluster-wide ReadyQueue over a shared clock,
-// per-core engine components (EnergyAccountant + SpeedController), and the
-// dispatch/migration contract documented in mp_simulator.h. ---
-class GlobalClusterEngine {
- public:
-  GlobalClusterEngine(const SimRequest& request,
-                      const std::vector<DvsPolicy*>& policies,
-                      ExecTimeModel& exec_model, MpSimResult* out)
-      : tasks_(request.tasks),
-        machine_(request.cluster.machine),
-        options_(request.options),
-        policies_(policies),
-        exec_model_(exec_model),
-        num_cores_(request.cluster.num_cores),
-        scheduler_(MakeScheduler(policies.front()->scheduler_kind())),
-        rng_(request.options.seed),
-        out_(out) {
-    RTDVS_CHECK(options_.aperiodic.kind == ServerKind::kNone)
-        << "aperiodic servers are supported only at num_cores == 1";
-    for (const DvsPolicy* policy : policies_) {
-      RTDVS_CHECK(policy->scheduler_kind() == scheduler_->kind())
-          << "global mode needs one scheduler kind across all cores";
+// --- Global mode (M > 1): one Simulator dispatching the top M jobs over M
+// cores (contract in mp_simulator.h). ---
+void RunGlobal(const SimRequest& request, const std::vector<DvsPolicy*>& policies,
+               ExecTimeModel& exec_model, MpSimResult* out) {
+  const int num_cores = request.cluster.num_cores;
+  out->admitted = true;  // global scheduling has no admission test
+  out->partition.feasible = true;
+  out->partition.cores_used = num_cores;
+  out->core_tasks.assign(static_cast<size_t>(num_cores), request.tasks);
+  out->core_global_ids.assign(static_cast<size_t>(num_cores), {});
+  for (std::vector<int>& ids : out->core_global_ids) {
+    for (int id = 0; id < request.tasks.size(); ++id) {
+      ids.push_back(id);
     }
   }
-
-  void Run() {
-    const auto n = static_cast<size_t>(tasks_.size());
-    const auto m = static_cast<size_t>(num_cores_);
-    out_->admitted = true;  // global scheduling has no admission test
-    out_->partition.feasible = true;
-    out_->partition.cores_used = num_cores_;
-    out_->core_tasks.assign(m, tasks_);
-    out_->core_global_ids.assign(m, {});
-    for (size_t c = 0; c < m; ++c) {
-      for (int id = 0; id < tasks_.size(); ++id) {
-        out_->core_global_ids[c].push_back(id);
-      }
-    }
-    InitClusterResult(tasks_.size(), machine_, options_, &out_->cluster);
-    SimResult& cluster = out_->cluster;
-    cluster.trace.set_capacity_limit(options_.max_trace_segments);
-
-    next_release_.assign(n, 0.0);
-    next_invocation_.assign(n, 0);
-    cumulative_executed_.assign(n, 0.0);
-    last_actual_work_.assign(n, 0.0);
-    for (int id = 0; id < tasks_.size(); ++id) {
-      next_release_[static_cast<size_t>(id)] = tasks_.task(id).phase_ms;
-      last_actual_work_[static_cast<size_t>(id)] = tasks_.task(id).wcet_ms;
-    }
-
-    // Per-core engine components over the one shared clock.
-    std::vector<ModelEnergyAccountant> accountants(
-        m, ModelEnergyAccountant(
-               EnergyModel(options_.idle_level, options_.energy_coefficient)));
-    std::vector<std::unique_ptr<TraceRecorderSink>> sinks(m);
-    std::vector<std::unique_ptr<ModeledSpeedController>> speeds(m);
-    std::vector<PolicyCounters> counters_at_start(m);
-    for (size_t c = 0; c < m; ++c) {
-      SimResult& slice = out_->cores[c];
-      slice.policy_name = policies_[c]->name();
-      slice.scheduler = policies_[c]->scheduler_kind();
-      slice.horizon_ms = options_.horizon_ms;
-      for (const OperatingPoint& point : machine_.points()) {
-        slice.residency.push_back(PointResidency{point, 0, 0, 0, 0});
-      }
-      slice.trace.set_capacity_limit(options_.max_trace_segments);
-      TraceSink* sink = nullptr;
-      if (options_.record_trace) {
-        sinks[c] = std::make_unique<TraceRecorderSink>(&slice.trace);
-        sink = sinks[c].get();
-      }
-      accountants[c].BindResidency(&machine_, &slice.residency);
-      accountants[c].set_trace_sink(sink);
-      speeds[c] = std::make_unique<ModeledSpeedController>(
-          &machine_, options_.switch_time_ms, &now_, sink);
-      counters_at_start[c] = policies_[c]->counters();
-    }
-    ready_.BindScheduler(scheduler_.get());
-    context_builder_.Bind(&tasks_, &machine_);
-
-    std::vector<std::optional<double>> wakeup(m);
-    std::vector<char> was_idle(m, 0);
-    {
-      PolicyContext ctx;
-      BuildContext(accountants, &ctx);
-      for (size_t c = 0; c < m; ++c) {
-        policies_[c]->OnStart(ctx, *speeds[c]);
-      }
-      for (size_t c = 0; c < m; ++c) {
-        wakeup[c] = policies_[c]->NextWakeupMs(ctx);
-      }
-    }
-
-    while (now_ < options_.horizon_ms - kTimeEpsMs) {
-      // --- Dispatch: the M highest-priority jobs, with core affinity. ---
-      std::vector<int> core_job(m, -1);  // index into jobs_, -1 = idle core
-      {
-        RTDVS_PROF_SCOPE("mp/global/dispatch");
-        const std::vector<size_t>& picked = ready_.PickTopK(jobs_, tasks_, m);
-        std::vector<char> placed(picked.size(), 0);
-        // Pass 1: a job keeps its previous core when that core is free.
-        for (size_t p = 0; p < picked.size(); ++p) {
-          const int prev = last_core_[picked[p]];
-          if (prev >= 0 && core_job[static_cast<size_t>(prev)] < 0) {
-            core_job[static_cast<size_t>(prev)] = static_cast<int>(picked[p]);
-            placed[p] = 1;
-          }
-        }
-        // Pass 2: remaining jobs fill free cores lowest-index-first in
-        // priority order; landing away from the previous core is a migration.
-        size_t next_free = 0;
-        for (size_t p = 0; p < picked.size(); ++p) {
-          if (placed[p]) {
-            continue;
-          }
-          while (core_job[next_free] >= 0) {
-            ++next_free;
-          }
-          core_job[next_free] = static_cast<int>(picked[p]);
-          if (last_core_[picked[p]] >= 0 &&
-              last_core_[picked[p]] != static_cast<int>(next_free)) {
-            ++out_->migrations;
-          }
-          last_core_[picked[p]] = static_cast<int>(next_free);
-        }
-      }
-      // Preemptions: a job dispatched last segment, still unfinished, that
-      // lost its slot this segment (diagnostic; not a divergence-checked
-      // counter, but the reference computes it identically).
-      std::vector<char> dispatched_now(jobs_.size(), 0);
-      for (size_t c = 0; c < m; ++c) {
-        if (core_job[c] >= 0) {
-          dispatched_now[static_cast<size_t>(core_job[c])] = 1;
-        }
-      }
-      for (size_t i = 0; i < jobs_.size(); ++i) {
-        if (dispatched_[i] && !dispatched_now[i] && !jobs_[i].finished) {
-          ++cluster.preemptions;
-        }
-      }
-      dispatched_ = dispatched_now;
-
-      // --- Next event: releases, deadlines, wakeups, per-core completions. ---
-      double t_next = options_.horizon_ms;
-      for (double release : next_release_) {
-        t_next = std::min(t_next, release);
-      }
-      for (const Job& job : jobs_) {
-        if (!job.finished && job.deadline_ms > now_ + kTimeEpsMs) {
-          t_next = std::min(t_next, job.deadline_ms);
-        }
-      }
-      for (size_t c = 0; c < m; ++c) {
-        if (wakeup[c].has_value() && *wakeup[c] > now_ + kTimeEpsMs) {
-          t_next = std::min(t_next, *wakeup[c]);
-        }
-        if (core_job[c] >= 0) {
-          const Job& job = jobs_[static_cast<size_t>(core_job[c])];
-          double exec_start = std::max(now_, speeds[c]->blocked_until_ms());
-          t_next = std::min(t_next, exec_start + job.RemainingActualWork() /
-                                                     speeds[c]->current().frequency);
-        }
-      }
-      RTDVS_CHECK_GT(t_next, now_ - kTimeEpsMs)
-          << "event horizon moved backwards at t=" << now_;
-      t_next = std::min(std::max(t_next, now_), options_.horizon_ms);
-
-      // --- Idle notification, once per idle period per core, only ahead of
-      // a segment of real length (a zero-length step between releases due at
-      // `now` is not an idle period). ---
-      if (t_next > now_ + kTimeEpsMs) {
-        PolicyContext ctx;
-        bool ctx_built = false;
-        for (size_t c = 0; c < m; ++c) {
-          if (core_job[c] >= 0) {
-            was_idle[c] = 0;
-          } else if (!was_idle[c]) {
-            if (!ctx_built) {
-              BuildContext(accountants, &ctx);
-              ctx_built = true;
-            }
-            policies_[c]->OnIdle(ctx, *speeds[c]);
-            was_idle[c] = 1;
-          }
-        }
-      }
-
-      // --- Integrate [now, t_next) on every core. ---
-      for (size_t c = 0; c < m; ++c) {
-        const OperatingPoint point = speeds[c]->current();
-        if (core_job[c] >= 0) {
-          Job& job = jobs_[static_cast<size_t>(core_job[c])];
-          double exec_start =
-              std::clamp(speeds[c]->blocked_until_ms(), now_, t_next);
-          accountants[c].RecordSwitchHalt(now_, exec_start, point);
-          const double exec_dt = t_next - exec_start;
-          if (exec_dt > 0) {
-            double work = exec_dt * point.frequency;
-            work = std::min(work, job.RemainingActualWork());
-            job.executed_work += work;
-            cumulative_executed_[static_cast<size_t>(job.task_id)] += work;
-            cluster.task_stats[static_cast<size_t>(job.task_id)].executed_work +=
-                work;
-            accountants[c].RecordExecution(exec_start, t_next, work, job.task_id,
-                                           point);
-          }
-        } else {
-          const double halt_end =
-              std::clamp(speeds[c]->blocked_until_ms(), now_, t_next);
-          accountants[c].RecordSwitchHalt(now_, halt_end, point);
-          accountants[c].RecordIdle(halt_end, t_next, point);
-        }
-      }
-      now_ = t_next;
-      if (now_ >= options_.horizon_ms - kTimeEpsMs) {
-        break;
-      }
-
-      // --- State changes due at now: completions (creation order), then
-      // misses, then releases (task-id order, one model draw each). ---
-      std::vector<int> completed;
-      for (Job& job : jobs_) {
-        if (!job.finished && job.RemainingActualWork() <= kWorkEps) {
-          FinalizeCompletion(&job, &cluster);
-          completed.push_back(job.task_id);
-        }
-      }
-      for (Job& job : jobs_) {
-        if (job.finished || job.missed || job.deadline_ms > now_ + kTimeEpsMs) {
-          continue;
-        }
-        job.missed = true;
-        ++cluster.deadline_misses;
-        ++cluster.task_stats[static_cast<size_t>(job.task_id)].deadline_misses;
-        if (options_.record_trace) {
-          cluster.trace.AddEvent(
-              {now_, TraceEventKind::kDeadlineMiss, job.task_id, {}});
-        }
-        if (options_.miss_policy == MissPolicy::kAbortJob) {
-          job.finished = true;
-          job.completion_ms = now_;
-          ++cluster.aborted;
-          ++cluster.task_stats[static_cast<size_t>(job.task_id)].aborted;
-        }
-      }
-      std::vector<int> released;
-      ReleaseDueJobs(&cluster, &released);
-      PruneFinished();
-
-      // --- Policy callbacks fan out to every core in core order. ---
-      PolicyContext ctx;
-      BuildContext(accountants, &ctx);
-      for (int task_id : completed) {
-        for (size_t c = 0; c < m; ++c) {
-          policies_[c]->OnTaskCompletion(task_id, ctx, *speeds[c]);
-        }
-      }
-      for (int task_id : released) {
-        for (size_t c = 0; c < m; ++c) {
-          policies_[c]->OnTaskRelease(task_id, ctx, *speeds[c]);
-        }
-      }
-      for (size_t c = 0; c < m; ++c) {
-        if (wakeup[c].has_value() && *wakeup[c] <= now_ + kTimeEpsMs) {
-          policies_[c]->OnWakeup(ctx, *speeds[c]);
-        }
-        wakeup[c] = policies_[c]->NextWakeupMs(ctx);
-      }
-    }
-
-    for (const Job& job : jobs_) {
-      if (!job.finished) {
-        ++cluster.unfinished_at_horizon;
-        ++cluster.task_stats[static_cast<size_t>(job.task_id)].unfinished;
-      }
-    }
-
-    // Per-core slices: time/energy/residency/switch totals only; job-level
-    // counters live on the cluster result.
-    for (size_t c = 0; c < m; ++c) {
-      SimResult& slice = out_->cores[c];
-      const EngineTotals& totals = accountants[c].totals();
-      slice.busy_ms = totals.busy_ms;
-      slice.idle_ms = totals.idle_ms;
-      slice.switching_ms = totals.switching_ms;
-      slice.total_work_executed = totals.work;
-      slice.exec_energy = totals.exec_energy;
-      slice.idle_energy = totals.idle_energy;
-      slice.speed_switches = speeds[c]->switch_count();
-      slice.policy_counters =
-          policies_[c]->counters().DiffSince(counters_at_start[c]);
-      AccumulateSlice(slice, {}, &cluster);
-    }
-    // Cluster-level §3.2 bound: the per-core bound is convex in work, so an
-    // even split of the executed work over M always-on cores lower-bounds
-    // any division the scheduler actually produced.
-    cluster.lower_bound_energy =
-        num_cores_ *
-        MinimumExecutionEnergy(
-            cluster.total_work_executed / num_cores_, options_.horizon_ms,
-            machine_, EnergyModel(0.0, options_.energy_coefficient));
+  Simulator sim(request.tasks, request.cluster.machine, policies, &exec_model,
+                request.options);
+  out->cluster = sim.Run();
+  out->cores = sim.TakeCoreSlices();
+  out->migrations = sim.migrations();
+  for (const SimResult& slice : out->cores) {
+    AccumulateSlice(slice, {}, &out->cluster);
   }
-
- private:
-  void BuildContext(const std::vector<ModelEnergyAccountant>& accountants,
-                    PolicyContext* ctx) {
-    EngineTotals aggregate;
-    for (const ModelEnergyAccountant& accountant : accountants) {
-      aggregate.busy_ms += accountant.totals().busy_ms;
-      aggregate.idle_ms += accountant.totals().idle_ms;
-      aggregate.work += accountant.totals().work;
-    }
-    context_builder_.Build(
-        now_, jobs_, aggregate,
-        [this](int id) {
-          const auto i = static_cast<size_t>(id);
-          return ContextBuilder::TaskSnapshot{
-              next_release_[i], cumulative_executed_[i], last_actual_work_[i]};
-        },
-        ctx);
-  }
-
-  void FinalizeCompletion(Job* job, SimResult* cluster) {
-    job->finished = true;
-    job->completion_ms = now_;
-    TaskStats& stats = cluster->task_stats[static_cast<size_t>(job->task_id)];
-    ++stats.completions;
-    ++cluster->completions;
-    const double response = now_ - job->release_ms;
-    stats.total_response_ms += response;
-    stats.max_response_ms = std::max(stats.max_response_ms, response);
-    last_actual_work_[static_cast<size_t>(job->task_id)] = job->actual_work;
-    if (options_.record_trace) {
-      cluster->trace.AddEvent(
-          {now_, TraceEventKind::kCompletion, job->task_id, {}});
-    }
-  }
-
-  void ReleaseDueJobs(SimResult* cluster, std::vector<int>* released) {
-    for (int id = 0; id < tasks_.size(); ++id) {
-      const auto i = static_cast<size_t>(id);
-      const Task& task = tasks_.task(id);
-      while (next_release_[i] <= now_ + kTimeEpsMs) {
-        const double fraction =
-            exec_model_.DrawFraction(id, next_invocation_[i], rng_);
-        RTDVS_CHECK_GT(fraction, 0.0);
-        if (fraction > 1.0 + kWorkEps) {
-          ++cluster->wcet_overruns;
-        }
-        Job job;
-        job.task_id = id;
-        job.invocation = next_invocation_[i];
-        job.release_ms = next_release_[i];
-        job.deadline_ms = next_release_[i] + task.period_ms;
-        job.wcet_work = task.wcet_ms;
-        job.actual_work = fraction * task.wcet_ms;
-        jobs_.push_back(job);
-        last_core_.push_back(-1);
-        dispatched_.push_back(0);
-        ++next_invocation_[i];
-        next_release_[i] += task.period_ms;
-        ++cluster->releases;
-        ++cluster->task_stats[i].releases;
-        if (options_.record_trace) {
-          cluster->trace.AddEvent(
-              {job.release_ms, TraceEventKind::kRelease, id, {}});
-        }
-        released->push_back(id);
-      }
-    }
-  }
-
-  void PruneFinished() {
-    size_t kept = 0;
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-      if (jobs_[i].finished) {
-        continue;
-      }
-      jobs_[kept] = jobs_[i];
-      last_core_[kept] = last_core_[i];
-      dispatched_[kept] = dispatched_[i];
-      ++kept;
-    }
-    jobs_.resize(kept);
-    last_core_.resize(kept);
-    dispatched_.resize(kept);
-  }
-
-  TaskSet tasks_;
-  MachineSpec machine_;
-  SimOptions options_;
-  std::vector<DvsPolicy*> policies_;
-  ExecTimeModel& exec_model_;
-  int num_cores_;
-  std::unique_ptr<Scheduler> scheduler_;
-  Pcg32 rng_;
-  MpSimResult* out_;
-
-  ReadyQueue ready_;
-  ContextBuilder context_builder_;
-  std::vector<Job> jobs_;  // creation order; finished jobs pruned per event
-  // Parallel to jobs_: the core each job last ran on (-1 = never dispatched)
-  // and whether it was dispatched in the previous segment.
-  std::vector<int> last_core_;
-  std::vector<char> dispatched_;
-  std::vector<double> next_release_;
-  std::vector<int64_t> next_invocation_;
-  std::vector<double> cumulative_executed_;
-  std::vector<double> last_actual_work_;
-  double now_ = 0;
-};
+  // Cluster-level §3.2 bound: the per-core bound is convex in work, so an
+  // even split of the executed work over M always-on cores lower-bounds
+  // any division the scheduler actually produced.
+  out->cluster.lower_bound_energy =
+      num_cores * MinimumExecutionEnergy(
+                      out->cluster.total_work_executed / num_cores,
+                      request.options.horizon_ms, request.cluster.machine,
+                      EnergyModel(0.0, request.options.energy_coefficient));
+}
 
 JsonValue SliceToJson(const SimResult& slice) {
   JsonValue out = JsonValue::Object();
@@ -654,12 +269,6 @@ MpSimResult RunClusterSimulation(const SimRequest& request,
       << "need exactly one policy per core";
   RTDVS_CHECK(!request.tasks.empty()) << "cannot simulate an empty task set";
 
-  if (request.options.profile) {
-    // Single-core and partitioned paths enable via Simulator::Run; the
-    // global engine drives the components directly, so enable here.
-    Profiler::Enable();
-  }
-
   MpSimResult out;
   out.mode = request.mode;
   out.num_cores = num_cores;
@@ -674,7 +283,7 @@ MpSimResult RunClusterSimulation(const SimRequest& request,
   } else if (request.mode == MpMode::kPartitioned) {
     RunPartitioned(request, policies, exec_model, &out);
   } else {
-    GlobalClusterEngine(request, policies, exec_model, &out).Run();
+    RunGlobal(request, policies, exec_model, &out);
   }
 
   if (out.admitted) {

@@ -20,19 +20,28 @@
 // operating point with ZERO energy. Infeasible partitions return with
 // admitted == false and no simulation performed.
 //
-// Global mode: one cluster-wide ReadyQueue; at every scheduling point the
-// M highest-priority runnable jobs (at most one per task — backlogged
-// invocations of one task never run in parallel) are dispatched, one per
-// core. Dispatch keeps a job on its previous core when that core is still
-// available to it; remaining jobs fill free cores lowest-index-first, and a
-// job landing on a different core than it last ran on counts one migration.
-// Every core stays powered (idle energy applies); all policies observe the
-// cluster-wide PolicyContext and steer only their own core's speed. Global
-// scheduling carries no utilization-based deadline guarantee (Dhall's
-// effect), so there is no admission test and slices always run. Job-level
-// counters (releases, completions, misses, task_stats) live on the cluster
-// result; global slices carry time/energy/residency/switch totals only and
-// their task_stats stay empty.
+// Global mode (M > 1): one Simulator runs all M cores in the same stepping
+// loop as single-core runs (src/sim/simulator.h), over one cluster-wide
+// ReadyQueue, job list and RNG stream seeded with the request seed. At every
+// scheduling point the M highest-priority runnable jobs (at most one per
+// task — backlogged invocations of one task never run in parallel) are
+// dispatched, one per core. Dispatch keeps a job on its previous core when
+// that core is still available to it; remaining jobs fill free cores
+// lowest-index-first, and a job landing on a different core than it last ran
+// on counts one migration. A preemption is a job that ran in the previous
+// segment, is unfinished, and holds no core now. Every core stays powered
+// (idle energy applies); all policies observe the cluster-wide
+// PolicyContext (its busy/idle/work totals summed over cores in core
+// order), receive every release and completion in core order, and steer
+// only their own core's speed. A core's OnIdle fires once per idle period,
+// ahead of a segment of positive length that it spends without a job.
+// Global scheduling carries no utilization-based deadline guarantee
+// (Dhall's effect), so there is no admission test and slices always run.
+// Job-level counters (releases, completions, misses, preemptions,
+// task_stats), trace events and fast-path stats live on the cluster result;
+// global slices carry time/energy/residency/switch totals, policy counters
+// and trace segments only, and their task_stats stay empty. The cluster
+// lower bound is M times the single-core bound of work / M.
 //
 // The reference oracle (src/sim/reference_sim.h) implements this same
 // contract from scratch so the differential fuzzer covers M-core runs.

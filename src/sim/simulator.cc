@@ -18,22 +18,36 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Simulator::Simulator(TaskSet tasks, MachineSpec machine, DvsPolicy* policy,
                      ExecTimeModel* exec_model, SimOptions options)
+    : Simulator(std::move(tasks), std::move(machine),
+                std::vector<DvsPolicy*>{policy}, exec_model, options) {}
+
+Simulator::Simulator(TaskSet tasks, MachineSpec machine,
+                     std::vector<DvsPolicy*> policies, ExecTimeModel* exec_model,
+                     SimOptions options)
     : tasks_(std::move(tasks)),
       machine_(std::move(machine)),
-      policy_(policy),
       exec_model_(exec_model),
       options_(options),
-      scheduler_(MakeScheduler(policy->scheduler_kind())),
       energy_(options.idle_level, options.energy_coefficient),
-      rng_(options.seed),
-      accountant_(energy_),
-      trace_sink_(&result_.trace) {
-  RTDVS_CHECK(policy_ != nullptr);
+      rng_(options.seed) {
+  RTDVS_CHECK(!policies.empty());
+  for (DvsPolicy* policy : policies) {
+    RTDVS_CHECK(policy != nullptr);
+    RTDVS_CHECK(policy->scheduler_kind() == policies.front()->scheduler_kind())
+        << "global mode needs one scheduler kind across all cores";
+  }
   RTDVS_CHECK(exec_model_ != nullptr);
   RTDVS_CHECK_GT(options_.horizon_ms, 0.0);
   RTDVS_CHECK(!tasks_.empty()) << "cannot simulate an empty task set";
   RTDVS_CHECK_GE(options_.switch_time_ms, 0.0);
+  scheduler_ = MakeScheduler(policies.front()->scheduler_kind());
+  cores_.reserve(policies.size());
+  for (DvsPolicy* policy : policies) {
+    cores_.emplace_back(policy, energy_);
+  }
   if (options_.aperiodic.kind != ServerKind::kNone) {
+    RTDVS_CHECK(cores_.size() == 1)
+        << "aperiodic servers are supported only at num_cores == 1";
     // The server is an ordinary periodic task as far as schedulers,
     // schedulability tests and DVS policies are concerned.
     server_task_id_ = tasks_.AddTask({"server", options_.aperiodic.period_ms,
@@ -169,9 +183,20 @@ void Simulator::CollectDueReleases() {
   }
 }
 
-void Simulator::BuildContext(double now) {
+template <bool kGlobal>
+void Simulator::BuildContext() {
+  const EngineTotals* totals = &cores_.front().accountant.totals();
+  EngineTotals sum;
+  if constexpr (kGlobal) {
+    for (const Core& core : cores_) {
+      sum.busy_ms += core.accountant.totals().busy_ms;
+      sum.idle_ms += core.accountant.totals().idle_ms;
+      sum.work += core.accountant.totals().work;
+    }
+    totals = &sum;
+  }
   context_builder_.Build(
-      now, jobs_, accountant_.totals(),
+      now_, jobs_, *totals,
       [this](int id) {
         const TaskState& state = task_states_[static_cast<size_t>(id)];
         return ContextBuilder::TaskSnapshot{state.next_release_ms,
@@ -182,15 +207,27 @@ void Simulator::BuildContext(double now) {
   dirty_.Clear();
 }
 
+void Simulator::FillCoreTotals(const Core& core, SimResult* out) const {
+  const EngineTotals& totals = core.accountant.totals();
+  out->busy_ms = totals.busy_ms;
+  out->idle_ms = totals.idle_ms;
+  out->switching_ms = totals.switching_ms;
+  out->total_work_executed = totals.work;
+  out->exec_energy = totals.exec_energy;
+  out->idle_energy = totals.idle_energy;
+  out->speed_switches = core.speed->switch_count();
+  // Counters accumulate over the policy's lifetime and the policy object may
+  // be reused across runs; report the per-run delta.
+  out->policy_counters = core.policy->counters().DiffSince(core.counters_at_start);
+}
+
 SimResult Simulator::Run() {
   RTDVS_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
   if (options_.profile) {
     Profiler::Enable();
   }
-  // Counters accumulate over the policy's lifetime and the policy object may
-  // be reused across runs; report the per-run delta.
-  const PolicyCounters counters_at_start = policy_->counters();
+  const bool global = cores_.size() > 1;
 
   const size_t n = static_cast<size_t>(tasks_.size());
   task_states_.assign(n, TaskState{});
@@ -204,8 +241,8 @@ SimResult Simulator::Run() {
     // wake/postpone rules in the event loop.
     task_states_[static_cast<size_t>(server_task_id_)].next_release_ms = kInf;
   }
-  result_.policy_name = policy_->name();
-  result_.scheduler = policy_->scheduler_kind();
+  result_.policy_name = cores_.front().policy->name();
+  result_.scheduler = scheduler_->kind();
   result_.horizon_ms = options_.horizon_ms;
   result_.residency.clear();
   for (const auto& point : machine_.points()) {
@@ -214,18 +251,31 @@ SimResult Simulator::Run() {
   result_.trace.set_capacity_limit(options_.max_trace_segments);
 
   // Wire the engine components for this run.
-  TraceSink* sink = options_.record_trace ? &trace_sink_ : nullptr;
-  accountant_.Reset();
-  accountant_.BindResidency(&machine_, &result_.residency);
-  accountant_.set_trace_sink(sink);
+  now_ = 0;
+  for (Core& core : cores_) {
+    SimResult* target = &result_;
+    if (global) {
+      target = &core.slice;
+      target->policy_name = core.policy->name();
+      target->scheduler = scheduler_->kind();
+      target->horizon_ms = options_.horizon_ms;
+      target->residency = result_.residency;
+      target->trace.set_capacity_limit(options_.max_trace_segments);
+    }
+    core.sink.emplace(&target->trace);
+    TraceSink* sink = options_.record_trace ? &*core.sink : nullptr;
+    core.accountant.Reset();
+    core.accountant.BindResidency(&machine_, &target->residency);
+    core.accountant.set_trace_sink(sink);
+    core.speed.emplace(&machine_, options_.switch_time_ms, &now_, sink);
+    core.timer_driven = core.policy->timer_driven();
+    any_timer_driven_ = any_timer_driven_ || core.timer_driven;
+    core.counters_at_start = core.policy->counters();
+  }
   context_builder_.Bind(&tasks_, &machine_);
   dirty_.Reset(static_cast<int>(n));
   ready_.BindScheduler(scheduler_.get());
   ready_.ResetTracking();
-  now_ = 0;
-  speed_ = std::make_unique<ModeledSpeedController>(
-      &machine_, options_.switch_time_ms, &now_, sink);
-  timer_driven_ = policy_->timer_driven();
   unfinished_count_ = 0;
   const size_t jobs_reserve = std::max<size_t>(16, 2 * n);
   if (options_.job_pool != nullptr) {
@@ -244,38 +294,24 @@ SimResult Simulator::Run() {
         std::min<size_t>(options_.max_trace_segments, 1024), 1024);
   }
 
-  BuildContext(now_);
-  policy_->OnStart(ctx_, *speed_);
-  pending_wakeup_.reset();
-  if (timer_driven_) {
-    pending_wakeup_ = policy_->NextWakeupMs(ctx_);
+  if (aperiodic_.has_value()) {
+    RunLoopFor<true, false>(scheduler_->kind());
+  } else if (global) {
+    RunLoopFor<false, true>(scheduler_->kind());
+  } else {
+    RunLoopFor<false, false>(scheduler_->kind());
   }
 
-  if (aperiodic_.has_value()) {
-    if (scheduler_->kind() == SchedulerKind::kEdf) {
-      RunLoop<true, SchedulerKind::kEdf>();
-    } else {
-      RunLoop<true, SchedulerKind::kRm>();
+  if (global) {
+    for (Core& core : cores_) {
+      FillCoreTotals(core, &core.slice);
     }
   } else {
-    if (scheduler_->kind() == SchedulerKind::kEdf) {
-      RunLoop<false, SchedulerKind::kEdf>();
-    } else {
-      RunLoop<false, SchedulerKind::kRm>();
-    }
+    FillCoreTotals(cores_.front(), &result_);
+    result_.lower_bound_energy = MinimumExecutionEnergy(
+        result_.total_work_executed, options_.horizon_ms, machine_,
+        EnergyModel(0.0, options_.energy_coefficient));
   }
-
-  const EngineTotals& totals = accountant_.totals();
-  result_.busy_ms = totals.busy_ms;
-  result_.idle_ms = totals.idle_ms;
-  result_.switching_ms = totals.switching_ms;
-  result_.total_work_executed = totals.work;
-  result_.exec_energy = totals.exec_energy;
-  result_.idle_energy = totals.idle_energy;
-  result_.speed_switches = speed_->switch_count();
-  result_.lower_bound_energy = MinimumExecutionEnergy(
-      result_.total_work_executed, options_.horizon_ms, machine_,
-      EnergyModel(0.0, options_.energy_coefficient));
   result_.server_task_id = server_task_id_;
   for (const auto& job : jobs_) {
     if (!job.finished) {
@@ -287,13 +323,12 @@ SimResult Simulator::Run() {
     aperiodic_->FinalizeStats();
     result_.aperiodic = aperiodic_->stats();
   }
-  result_.policy_counters = policy_->counters().DiffSince(counters_at_start);
-  if (options_.audit) {
+  if (options_.audit && !global) {
     AuditInputs inputs;
     inputs.tasks = &tasks_;
     inputs.machine = &machine_;
     inputs.options = &options_;
-    inputs.policy_guarantees_deadlines = policy_->guarantees_deadlines();
+    inputs.policy_guarantees_deadlines = cores_.front().policy->guarantees_deadlines();
     result_.audit = AuditSimResult(result_, inputs);
   }
   if (options_.job_pool != nullptr) {
@@ -306,26 +341,127 @@ SimResult Simulator::Run() {
   return result_;
 }
 
-template <bool kServer, SchedulerKind kKind>
+std::vector<SimResult> Simulator::TakeCoreSlices() {
+  std::vector<SimResult> slices;
+  slices.reserve(cores_.size());
+  for (Core& core : cores_) {
+    slices.push_back(std::move(core.slice));
+  }
+  return slices;
+}
+
+template <bool kServer, bool kGlobal>
+void Simulator::RunLoopFor(SchedulerKind kind) {
+  if (kind == SchedulerKind::kEdf) {
+    RunLoop<kServer, kGlobal, SchedulerKind::kEdf>();
+  } else {
+    RunLoop<kServer, kGlobal, SchedulerKind::kRm>();
+  }
+}
+
+void Simulator::DispatchGlobal() {
+  const std::vector<size_t>& picked = ready_.PickTopK(jobs_, tasks_, cores_.size());
+  for (Core& core : cores_) {
+    core.job = Scheduler::kNone;
+  }
+  // Pass 1: a job keeps its previous core when that core is free.
+  for (size_t index : picked) {
+    const int prev = jobs_[index].last_core;
+    if (prev >= 0 && cores_[static_cast<size_t>(prev)].job == Scheduler::kNone) {
+      cores_[static_cast<size_t>(prev)].job = index;
+    }
+  }
+  // Pass 2: the rest fill free cores lowest-index-first in priority order.
+  size_t next_free = 0;
+  for (size_t index : picked) {
+    Job& job = jobs_[index];
+    if (job.last_core >= 0 && cores_[static_cast<size_t>(job.last_core)].job == index) {
+      continue;  // kept its core in pass 1
+    }
+    while (cores_[next_free].job != Scheduler::kNone) {
+      ++next_free;
+    }
+    cores_[next_free].job = index;
+    if (job.last_core >= 0 && job.last_core != static_cast<int>(next_free)) {
+      ++migrations_;
+    }
+    job.last_core = static_cast<int>(next_free);
+  }
+  // Preemptions: a job that held a core in the last segment, is unfinished,
+  // and holds none now.
+  for (const Core& core : cores_) {
+    if (core.job != Scheduler::kNone) {
+      jobs_[core.job].dispatched = false;
+    }
+  }
+  for (Job& job : jobs_) {
+    if (job.dispatched && !job.finished) {
+      ++result_.preemptions;
+    }
+    job.dispatched = false;
+  }
+  for (const Core& core : cores_) {
+    if (core.job != Scheduler::kNone) {
+      jobs_[core.job].dispatched = true;
+    }
+  }
+}
+
+void Simulator::NotifyIdleCores() {
+  bool ctx_built = false;
+  for (Core& core : cores_) {
+    if (core.job != Scheduler::kNone) {
+      core.was_idle = false;
+    } else if (!core.was_idle) {
+      if (!ctx_built) {
+        BuildContext<true>();
+        ctx_built = true;
+      }
+      core.policy->OnIdle(ctx_, *core.speed);
+      core.was_idle = true;
+    }
+  }
+}
+
+// Inline: it runs once per busy core per step, and the loop must not pay a
+// call for it at M = 1.
+inline double Simulator::CompletionMs(const Core& core) const {
+  // Completion and switch-halt-end depend on the current speed, so they are
+  // derived analytically each step.
+  const double exec_start = std::max(now_, core.speed->blocked_until_ms());
+  return exec_start +
+         EffectiveRemaining(jobs_[core.job]) / core.speed->current().frequency;
+}
+
+template <bool kServer, bool kGlobal, SchedulerKind kKind>
 void Simulator::RunLoop() {
+  static_assert(!(kServer && kGlobal), "aperiodic servers run on one core");
   const double horizon = options_.horizon_ms;
+  Core& single = cores_.front();
   bool was_idle = false;
+
+  BuildContext<kGlobal>();
+  for (Core& core : Cores<kGlobal>()) {
+    core.policy->OnStart(ctx_, *core.speed);
+  }
+  for (Core& core : Cores<kGlobal>()) {
+    if (core.timer_driven) {
+      core.pending_wakeup = core.policy->NextWakeupMs(ctx_);
+    }
+  }
 
   while (now_ < horizon - kTimeEpsMs) {
     RTDVS_PROF_SCOPE("sim/step");
     ++result_.fastpath.steps;
-    size_t running = Scheduler::kNone;
 
     // --- Find the next event: the earliest of the horizon, the next
-    // periodic release, the pending policy wakeup and, with a server, the
-    // next aperiodic arrival and the live server job's deadline. Times
-    // within kTimeEpsMs of now are due now, not scheduling points. ---
+    // periodic release, the pending policy wakeups, the running jobs'
+    // completions and, with a server, the next aperiodic arrival and the
+    // live server job's deadline. Times within kTimeEpsMs of now are due
+    // now, not scheduling points. A periodic job's deadline needs no term
+    // of its own: it is the same double as its task's next release. ---
     const double next_release = NextPeriodicReleaseMs();
     double t_next = std::min(horizon, next_release);
-    if (timer_driven_ && pending_wakeup_.has_value() &&
-        *pending_wakeup_ > now_ + kTimeEpsMs) {
-      t_next = std::min(t_next, *pending_wakeup_);
-    }
     if constexpr (kServer) {
       if (aperiodic_->NextArrivalMs() > now_ + kTimeEpsMs) {
         t_next = std::min(t_next, aperiodic_->NextArrivalMs());
@@ -337,6 +473,9 @@ void Simulator::RunLoop() {
     const bool idle_skip = jobs_.empty();
     if (idle_skip) {
       ++result_.fastpath.idle_skips;
+      for (Core& core : Cores<kGlobal>()) {
+        core.job = Scheduler::kNone;
+      }
     } else {
       if constexpr (kServer) {
         for (auto& job : jobs_) {
@@ -351,41 +490,56 @@ void Simulator::RunLoop() {
           }
         }
       }
-      if constexpr (kKind == SchedulerKind::kEdf) {
-        running = ready_.PickTrackedWith(jobs_, EdfComparator{},
-                                         &result_.preemptions);
+      if constexpr (kGlobal) {
+        DispatchGlobal();
+      } else if constexpr (kKind == SchedulerKind::kEdf) {
+        single.job = ready_.PickTrackedWith(jobs_, EdfComparator{},
+                                            &result_.preemptions);
       } else {
-        running = ready_.PickTrackedWith(jobs_, RmComparator{periods_.data()},
-                                         &result_.preemptions);
+        single.job = ready_.PickTrackedWith(
+            jobs_, RmComparator{periods_.data()}, &result_.preemptions);
       }
     }
-    double exec_start = now_;
-    if (running != Scheduler::kNone) {
-      // Completion and switch-halt-end depend on the current speed, so they
-      // are derived analytically each step.
-      exec_start = std::max(now_, speed_->blocked_until_ms());
-      double frequency = speed_->current().frequency;
-      double completion =
-          exec_start + EffectiveRemaining(jobs_[running]) / frequency;
-      t_next = std::min(t_next, completion);
+    for (const Core& core : Cores<kGlobal>()) {
+      if (core.pending_wakeup.has_value() && *core.pending_wakeup > now_ + kTimeEpsMs) {
+        t_next = std::min(t_next, *core.pending_wakeup);
+      }
+      if (core.job != Scheduler::kNone) {
+        t_next = std::min(t_next, CompletionMs(core));
+      }
     }
     RTDVS_CHECK_GT(t_next, now_ - kTimeEpsMs)
         << "event horizon moved backwards at t=" << now_;
     t_next = std::max(t_next, now_);
     t_next = std::min(t_next, horizon);
 
-    // --- Integrate the segment [now_, t_next). ---
-    const OperatingPoint point = speed_->current();
-    if (running != Scheduler::kNone) {
-      exec_start = std::min(std::max(exec_start, now_), t_next);
-      if (exec_start > now_) {
-        // Halted during a transition: time passes, (almost) no energy (§3.1).
-        accountant_.RecordSwitchHalt(now_, exec_start, point);
+    // --- Integrate the segment [now_, t_next) on every core. At M > 1 an
+    // idle core's OnIdle comes first, once per idle period and only ahead
+    // of a segment of real length (a zero-length step between releases due
+    // at now is not an idle period). ---
+    if constexpr (kGlobal) {
+      if (t_next > now_ + kTimeEpsMs) {
+        NotifyIdleCores();
       }
-      double exec_dt = t_next - exec_start;
-      if (exec_dt > 0) {
-        Job& job = jobs_[running];
-        double work = exec_dt * point.frequency;
+    }
+    for (Core& core : Cores<kGlobal>()) {
+      const OperatingPoint point = core.speed->current();
+      // The mandatory halt applies on the idle path too: an OnIdle (or
+      // completion-time) speed change with switch_time_ms > 0 halts the
+      // processor just as it does before execution resumes. Charge the halt
+      // window to switching_ms — not idle energy at the new point. Halted
+      // cycles cost time but (almost) no energy (§3.1).
+      const double halt_end = std::clamp(core.speed->blocked_until_ms(), now_, t_next);
+      if (halt_end > now_) {
+        core.accountant.RecordSwitchHalt(now_, halt_end, point);
+      }
+      if (core.job == Scheduler::kNone) {
+        core.accountant.RecordIdle(halt_end, t_next, point);
+        continue;
+      }
+      if (t_next - halt_end > 0) {
+        Job& job = jobs_[core.job];
+        double work = (t_next - halt_end) * point.frequency;
         // Rounding guard: never execute more than the job has left.
         work = std::min(work, EffectiveRemaining(job));
         if constexpr (kServer) {
@@ -397,21 +551,11 @@ void Simulator::RunLoop() {
         task_states_[static_cast<size_t>(job.task_id)].cumulative_executed += work;
         dirty_.Mark(job.task_id);
         result_.task_stats[static_cast<size_t>(job.task_id)].executed_work += work;
-        accountant_.RecordExecution(exec_start, t_next, work, job.task_id, point);
+        core.accountant.RecordExecution(halt_end, t_next, work, job.task_id, point);
       }
-    } else {
-      // The mandatory halt applies on the idle path too: an OnIdle (or
-      // completion-time) speed change with switch_time_ms > 0 halts the
-      // processor just as it does before execution resumes. Charge the halt
-      // window to switching_ms — not idle energy at the new point.
-      double halt_end = std::clamp(speed_->blocked_until_ms(), now_, t_next);
-      if (halt_end > now_) {
-        accountant_.RecordSwitchHalt(now_, halt_end, point);
-      }
-      accountant_.RecordIdle(halt_end, t_next, point);
-      if (idle_skip) {
-        result_.fastpath.idle_skipped_ms += t_next - now_;
-      }
+    }
+    if (idle_skip) {
+      result_.fastpath.idle_skipped_ms += t_next - now_;
     }
     now_ = t_next;
     if (now_ >= horizon - kTimeEpsMs) {
@@ -550,37 +694,48 @@ void Simulator::RunLoop() {
                   jobs_.end());
     }
 
-    // --- Policy callbacks: completions first, then releases. ---
-    // Steps where nothing the policy observes happened (no completion, no
+    // --- Policy callbacks: completions first, then releases, each to every
+    // core's policy in core order. ---
+    // Steps where nothing the policies observe happened (no completion, no
     // release, no wakeup, no idle transition) skip the context build and
     // the callback block entirely; timer-driven policies always get their
-    // per-step NextWakeupMs poll.
-    const bool entered_idle = unfinished_count_ == 0 && !was_idle;
-    if (timer_driven_ || entered_idle || !completed_.empty() ||
+    // per-step NextWakeupMs poll. At M = 1 OnIdle fires here, once per idle
+    // period (a suspended server job does not count as idle).
+    const bool entered_idle = !kGlobal && unfinished_count_ == 0 && !was_idle;
+    if (any_timer_driven_ || entered_idle || !completed_.empty() ||
         !released_.empty() || !completed_after_release_.empty()) {
       RTDVS_PROF_SCOPE("sim/policy/callbacks");
-      BuildContext(now_);
+      BuildContext<kGlobal>();
       for (int task_id : completed_) {
-        policy_->OnTaskCompletion(task_id, ctx_, *speed_);
+        for (Core& core : Cores<kGlobal>()) {
+          core.policy->OnTaskCompletion(task_id, ctx_, *core.speed);
+        }
       }
       for (int task_id : released_) {
-        policy_->OnTaskRelease(task_id, ctx_, *speed_);
+        for (Core& core : Cores<kGlobal>()) {
+          core.policy->OnTaskRelease(task_id, ctx_, *core.speed);
+        }
       }
       for (int task_id : completed_after_release_) {
-        policy_->OnTaskCompletion(task_id, ctx_, *speed_);
+        single.policy->OnTaskCompletion(task_id, ctx_, *single.speed);
       }
 
-      // Timer wakeup (non-RT interval baseline).
-      if (timer_driven_) {
-        if (pending_wakeup_.has_value() && *pending_wakeup_ <= now_ + kTimeEpsMs) {
-          policy_->OnWakeup(ctx_, *speed_);
+      // Timer wakeups (non-RT interval baseline).
+      if (any_timer_driven_) {
+        for (Core& core : Cores<kGlobal>()) {
+          if (!core.timer_driven) {
+            continue;
+          }
+          if (core.pending_wakeup.has_value() &&
+              *core.pending_wakeup <= now_ + kTimeEpsMs) {
+            core.policy->OnWakeup(ctx_, *core.speed);
+          }
+          core.pending_wakeup = core.policy->NextWakeupMs(ctx_);
         }
-        pending_wakeup_ = policy_->NextWakeupMs(ctx_);
       }
 
-      // Idle notification: fires once per idle period.
       if (entered_idle) {
-        policy_->OnIdle(ctx_, *speed_);
+        single.policy->OnIdle(ctx_, *single.speed);
         if (options_.record_trace) {
           result_.trace.AddEvent({now_, TraceEventKind::kIdleStart, -1, {}});
         }
@@ -589,11 +744,6 @@ void Simulator::RunLoop() {
     was_idle = unfinished_count_ == 0;
   }
 }
-
-template void Simulator::RunLoop<false, SchedulerKind::kEdf>();
-template void Simulator::RunLoop<false, SchedulerKind::kRm>();
-template void Simulator::RunLoop<true, SchedulerKind::kEdf>();
-template void Simulator::RunLoop<true, SchedulerKind::kRm>();
 
 // The RunSimulation convenience wrappers are defined in mp_simulator.cc:
 // they route through the M=1 cluster path so the legacy API and the

@@ -11,10 +11,20 @@
 // ModelEnergyAccountant integrates time/energy per segment, and a
 // ModeledSpeedController services policy speed requests. No event queue is
 // needed: the next event is the minimum over state the simulator already
-// owns (each task's next release, the pending policy wakeup, the running
-// job's completion and, with an aperiodic server, the next arrival and the
+// owns (each task's next release, the pending policy wakeups, the running
+// jobs' completions and, with an aperiodic server, the next arrival and the
 // server job's deadline). When no job exists the pick is skipped and the
 // whole interval up to the next event integrates as one idle segment.
+//
+// One loop serves every core count M >= 1. The cores share the clock, the
+// job list, the per-task state, the ReadyQueue, the PolicyContext and the
+// RNG; each core has its own DvsPolicy, speed controller, energy accountant
+// and timer wakeup. M = 1 picks one job per step. M > 1 is global
+// multiprocessor scheduling (src/sim/mp_simulator.h): the M highest-priority
+// jobs run, one per core, with core affinity, every policy sees every
+// release and completion in core order, and each core's OnIdle fires ahead
+// of a segment of positive length that it spends without a job.
+//
 // The kernel (src/kernel/) composes the same ContextBuilder /
 // EnergyAccountant / SpeedController seams on its register-level hardware.
 #ifndef SRC_SIM_SIMULATOR_H_
@@ -23,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,10 +106,25 @@ class Simulator {
   // keep bookkeeping, models consume randomness).
   Simulator(TaskSet tasks, MachineSpec machine, DvsPolicy* policy,
             ExecTimeModel* exec_model, SimOptions options);
+  // M = policies.size() cores, one policy per core; M > 1 is global
+  // scheduling. Every policy must use the same scheduler kind; aperiodic
+  // servers need M = 1.
+  Simulator(TaskSet tasks, MachineSpec machine, std::vector<DvsPolicy*> policies,
+            ExecTimeModel* exec_model, SimOptions options);
   ~Simulator();
 
-  // Runs the full horizon and returns the metrics. May be called once.
+  // Runs the full horizon and returns the metrics. May be called once. At
+  // M > 1 the result holds the cluster's job-level outcome (releases,
+  // completions, misses, preemptions, task stats, trace events, fast-path
+  // stats); time, energy, residency and switch totals are on the per-core
+  // slices, and the result is not audited.
   SimResult Run();
+
+  // M > 1, after Run(): each core's slice (time, energy, residency, switch
+  // count, policy counters and trace segments), moved out in core order.
+  std::vector<SimResult> TakeCoreSlices();
+  // M > 1: dispatches that moved a job off the core it last ran on.
+  int64_t migrations() const { return migrations_; }
 
  private:
   struct TaskState {
@@ -108,16 +134,62 @@ class Simulator {
     double last_actual_work = 0;  // defaults to C_i
   };
 
-  // The event loop, instantiated once per (server configured, scheduler
-  // kind). kServer adds the aperiodic-server bookkeeping to the one loop
-  // body: arrivals and the server job's deadline join the next-event
-  // minimum, and the server completion, CBS wake/postpone and
-  // release-then-retire rules run at each scheduling point. kKind
-  // statically selects the priority comparator (src/rt/scheduler.h) so the
-  // per-step pick runs with zero virtual dispatch; RM compares through
-  // periods_.
-  template <bool kServer, SchedulerKind kKind>
+  // What each core owns. At M = 1 the accountant and the trace sink write
+  // into the run's result; at M > 1 into the core's slice.
+  struct Core {
+    Core(DvsPolicy* p, const EnergyModel& energy) : policy(p), accountant(energy) {}
+    DvsPolicy* policy;
+    ModelEnergyAccountant accountant;
+    std::optional<TraceRecorderSink> sink;
+    std::optional<ModeledSpeedController> speed;
+    // The policy's latest NextWakeupMs answer (timer-driven policies only).
+    std::optional<double> pending_wakeup;
+    // Cached policy->timer_driven(): gates every NextWakeupMs/OnWakeup call.
+    bool timer_driven = false;
+    // M > 1: OnIdle already fired for the core's current idle period.
+    bool was_idle = false;
+    // Index into jobs_ of the job running in this step, or Scheduler::kNone.
+    size_t job = Scheduler::kNone;
+    PolicyCounters counters_at_start;
+    SimResult slice;  // M > 1 only
+  };
+
+  // The event loop, instantiated once per (server configured, global
+  // multi-core, scheduler kind). kServer adds the aperiodic-server
+  // bookkeeping to the one loop body: arrivals and the server job's deadline
+  // join the next-event minimum, and the server completion, CBS
+  // wake/postpone and release-then-retire rules run at each scheduling
+  // point. kGlobal (M > 1) runs the per-core work over every core:
+  // DispatchGlobal instead of the single pick, OnIdle ahead of each idle
+  // core's segment, and callback fan-out in core order. kKind statically
+  // selects the priority comparator (src/rt/scheduler.h) so the single-core
+  // pick runs with zero virtual dispatch; RM compares through periods_.
+  template <bool kServer, bool kGlobal, SchedulerKind kKind>
   void RunLoop();
+  template <bool kServer, bool kGlobal>
+  void RunLoopFor(SchedulerKind kind);
+  // The cores a loop instantiation steps: all of them at M > 1; at M = 1 a
+  // fixed-extent span, so per-core loops compile to straight-line code.
+  template <bool kGlobal>
+  auto Cores() {
+    if constexpr (kGlobal) {
+      return std::span<Core>(cores_);
+    } else {
+      return std::span<Core, 1>(cores_.data(), 1);
+    }
+  }
+  // M > 1: runs the top M jobs, one per core. A job keeps its previous core
+  // when that core is free; the rest fill free cores lowest-index-first in
+  // priority order, and landing on a different core than last time counts a
+  // migration. Counts the preemptions the dispatch causes.
+  void DispatchGlobal();
+  // M > 1: OnIdle for each core without a job that is not already idle.
+  void NotifyIdleCores();
+  // When the core's job would complete at the core's current speed.
+  double CompletionMs(const Core& core) const;
+  // Copies a core's accountant totals, switch count and this run's policy
+  // counters into `out`.
+  void FillCoreTotals(const Core& core, SimResult* out) const;
   // Earliest pending periodic release across all tasks.
   double NextPeriodicReleaseMs() const;
   // Fills due_releases_ (task-id order) with every task whose next release
@@ -125,8 +197,10 @@ class Simulator {
   void CollectDueReleases();
   // Creates all invocations due at `now` for the tasks in due_releases_.
   void ReleaseDueJobs(double now, std::vector<int>* released);
-  // Refreshes ctx_ for the tasks in dirty_ and clears it.
-  void BuildContext(double now);
+  // Refreshes ctx_ for the tasks in dirty_ and clears it. The context's
+  // busy, idle and work totals are core-order sums at M > 1.
+  template <bool kGlobal>
+  void BuildContext();
   bool IsServerJob(const Job& job) const {
     return server_task_id_ >= 0 && job.task_id == server_task_id_;
   }
@@ -140,7 +214,6 @@ class Simulator {
 
   TaskSet tasks_;
   MachineSpec machine_;
-  DvsPolicy* policy_;
   ExecTimeModel* exec_model_;
   SimOptions options_;
 
@@ -162,14 +235,13 @@ class Simulator {
   // across steps that skip the callback block until the next build
   // consumes them.
   DirtyTasks dirty_;
-  ModelEnergyAccountant accountant_;
-  TraceRecorderSink trace_sink_;
-  std::unique_ptr<ModeledSpeedController> speed_;
-  // The policy's latest NextWakeupMs answer (timer-driven policies only).
-  std::optional<double> pending_wakeup_;
+  // One entry per core; sized once by the constructor (slices and sinks
+  // hold pointers into it).
+  std::vector<Core> cores_;
+  // Some core's policy is timer-driven.
+  bool any_timer_driven_ = false;
+  int64_t migrations_ = 0;
   std::vector<int> due_releases_;
-  // Cached policy_->timer_driven(): gates every NextWakeupMs/OnWakeup call.
-  bool timer_driven_ = false;
   // Jobs in jobs_ with finished == false, maintained incrementally so the
   // idle transition needs no per-step scan.
   int64_t unfinished_count_ = 0;

@@ -2,8 +2,8 @@
 // exec-model family x machine, plus the switch-cost/abort/trace regimes,
 // must agree bit for bit with the reference oracle (src/sim/reference_sim.h,
 // ResultsAgree), which steps without idle skipping; idle skipping must
-// actually engage, on periodic and aperiodic-server runs alike; and the
-// JobPool arena must not change any result.
+// actually engage, on periodic, aperiodic-server and global-cluster runs
+// alike; and the JobPool arena must not change any result.
 //
 // The comparisons here are bitwise (memcmp of the double patterns), not
 // EXPECT_NEAR: a one-ulp drift is a real failure.
@@ -20,6 +20,7 @@
 #include "src/rt/exec_time_model.h"
 #include "src/rt/job_pool.h"
 #include "src/rt/task.h"
+#include "src/sim/mp_simulator.h"
 #include "src/sim/reference_sim.h"
 #include "src/sim/simulator.h"
 #include "src/testing/differential.h"
@@ -250,6 +251,30 @@ TEST(IdleSkip, EngagesOnPollingServerRuns) {
   EXPECT_GT(result.aperiodic.completions, 0);
   EXPECT_GT(result.fastpath.idle_skips, 0);
   EXPECT_GT(result.fastpath.idle_skipped_ms, 0.0);
+}
+
+TEST(IdleSkip, EngagesOnGlobalClusterRuns) {
+  // Two sparse tasks on two cores: most of the horizon has no job at all.
+  SimRequest request;
+  request.tasks = TaskSet({{"a", 50.0, 2.0, 0.0}, {"b", 80.0, 3.0, 5.0}});
+  request.cluster.num_cores = 2;
+  request.cluster.machine = MachineSpec::Machine0();
+  request.mode = MpMode::kGlobal;
+  request.policy_ids = {"cc_edf"};
+  request.options.horizon_ms = 1000.0;
+  request.options.idle_level = 0.2;
+  UniformFractionModel production_model(0.2, 1.0);
+  UniformFractionModel reference_model(0.2, 1.0);
+  const MpSimResult production = RunClusterSimulation(request, production_model);
+  EXPECT_GT(production.cluster.fastpath.steps, 0);
+  EXPECT_GT(production.cluster.fastpath.idle_skips, 0);
+  const MpSimResult reference =
+      RunReferenceClusterSimulation(request, reference_model);
+  std::vector<FieldDiff> diffs;
+  EXPECT_TRUE(MpResultsAgree(production, reference, &diffs));
+  for (const FieldDiff& d : diffs) {
+    ADD_FAILURE() << d.field << ": " << d.production << " vs " << d.reference;
+  }
 }
 
 // --- Arena (JobPool) ---

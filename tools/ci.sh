@@ -183,10 +183,11 @@ stage_fuzz() {
   # strings in fuzz/repros.txt replay via rtdvs-fuzz --repro=<line>.
   build-ci-plain/tools/rtdvs-fuzz --trials=500 --seed=1 --max-ms=30000 \
     --repro-out="$out/repros.txt"
-  # Multiprocessor campaign: every trial draws a 2- or 4-core cluster
+  # Multiprocessor campaign: every trial draws a 2-, 3- or 4-core cluster
   # (partitioned or global) and diffs the cluster driver against the
-  # reference oracle's independent implementation.
-  build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=2 --cores=2,4 \
+  # reference oracle's independent implementation. The odd core count keeps
+  # affinity placement covered off powers of two.
+  build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=2 --cores=2,3,4 \
     --max-ms=30000 --repro-out="$out/repros-mp.txt"
   # Self-check: with a historical bug injected into the reference, the same
   # campaign MUST report a divergence — otherwise the oracle went blind.
