@@ -6,6 +6,9 @@
 // (0, WCET], Figure 13), each of the six paper policies runs the same batch
 // of task sets single-threaded, and the bench reports
 //   * steps and callback rounds: exact per-batch counts (deterministic);
+//   * jobs_per_step: jobs the step loop's job loops visited per step
+//     (FastPathStats::jobs_visited; deterministic, so identical on every
+//     host);
 //   * ns_per_step: best-of-`repeat` batch wall time over the step count;
 //   * ns_per_callback_round: time inside the context build + policy
 //     callback block per round, from a separate profiled run of the batch
@@ -37,6 +40,7 @@ namespace {
 struct BatchResult {
   int64_t sims = 0;
   int64_t steps = 0;
+  int64_t jobs_visited = 0;
   int64_t audit_violations = 0;
   double total_energy = 0;
 };
@@ -55,6 +59,7 @@ BatchResult RunBatch(const std::vector<TaskSet>& sets, const MachineSpec& machin
         RunSimulation(sets[i], machine, policy_id, model, options);
     ++batch.sims;
     batch.steps += result.fastpath.steps;
+    batch.jobs_visited += result.fastpath.jobs_visited;
     batch.audit_violations += static_cast<int64_t>(result.audit.violations.size());
     batch.total_energy += result.total_energy();
   }
@@ -108,7 +113,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(tasksets), static_cast<long long>(sim_ms),
       static_cast<long long>(repeat));
   rtdvs::TextTable table({"n", "policy", "steps", "callback_rounds",
-                          "ns_per_step", "ns_per_callback_round"});
+                          "jobs_per_step", "ns_per_step",
+                          "ns_per_callback_round"});
   int64_t audit_violations = 0;
   for (int n : task_counts) {
     rtdvs::TaskSetGeneratorOptions generator_options;
@@ -143,16 +149,22 @@ int main(int argc, char** argv) {
           span == profile.spans.end() ? 0.0 : span->second.total_ms * 1e6;
 
       const double ns_per_step = best_ns / static_cast<double>(batch.steps);
+      const double jobs_per_step = static_cast<double>(batch.jobs_visited) /
+                                   static_cast<double>(batch.steps);
       const double ns_per_round =
           rounds > 0 ? callback_ns / static_cast<double>(rounds) : 0.0;
       audit_violations += batch.audit_violations;
       table.AddRow({std::to_string(n), policy_id, std::to_string(batch.steps),
-                    std::to_string(rounds), rtdvs::StrFormat("%.1f", ns_per_step),
+                    std::to_string(rounds),
+                    rtdvs::StrFormat("%.2f", jobs_per_step),
+                    rtdvs::StrFormat("%.1f", ns_per_step),
                     rtdvs::StrFormat("%.1f", ns_per_round)});
       rtdvs::JsonValue entry = rtdvs::JsonValue::Object();
       entry.Set("sims", batch.sims);
       entry.Set("steps", batch.steps);
       entry.Set("callback_rounds", rounds);
+      entry.Set("jobs_visited", batch.jobs_visited);
+      entry.Set("jobs_per_step", jobs_per_step);
       entry.Set("ns_per_step", ns_per_step);
       entry.Set("ns_per_callback_round", ns_per_round);
       entry.Set("total_energy", batch.total_energy);

@@ -45,6 +45,10 @@ struct FastPathStats {
   // time they covered.
   int64_t idle_skips = 0;
   double idle_skipped_ms = 0;
+  // Jobs the step loop's job loops visited: the pick, the completion and
+  // miss checks and the compaction, each bumped once per loop by the
+  // loop's length. Deterministic, so identical on every host.
+  int64_t jobs_visited = 0;
   // Always 0. No caller in src/; kept because perfbench/ overrides or reads it.
   int64_t hyperperiod_cycles_replayed = 0;
 
@@ -54,6 +58,7 @@ struct FastPathStats {
     steps += other.steps;
     idle_skips += other.idle_skips;
     idle_skipped_ms += other.idle_skipped_ms;
+    jobs_visited += other.jobs_visited;
   }
 };
 

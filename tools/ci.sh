@@ -189,6 +189,11 @@ stage_fuzz() {
   # affinity placement covered off powers of two.
   build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=2 --cores=2,3,4 \
     --max-ms=30000 --repro-out="$out/repros-mp.txt"
+  # Large-set campaign: up to 64 tasks per case, the sizes the sweeps and
+  # bench_n_scaling run, so long release calendars, deep ready queues and
+  # overload backlogs are fuzzed too (the default draws at most 8 tasks).
+  build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=3 --max-tasks=64 \
+    --max-ms=30000 --repro-out="$out/repros-large.txt"
   # Self-check: with a historical bug injected into the reference, the same
   # campaign MUST report a divergence — otherwise the oracle went blind.
   if build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=7 \

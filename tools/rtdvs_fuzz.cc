@@ -52,6 +52,7 @@ int Main(int argc, char** argv) {
   int64_t seed = 1;
   int64_t jobs = 0;
   int64_t max_ms = 0;
+  int64_t max_tasks = FuzzGenOptions{}.max_tasks;
   std::string policies;
   std::string cores_list = "1";
   std::string repro;
@@ -73,6 +74,9 @@ int Main(int argc, char** argv) {
   flags.AddInt64("max-ms", &max_ms,
                  "soft wall-clock budget; stops dispatching new trials once "
                  "exceeded (0 = run all trials)");
+  flags.AddInt64("max-tasks", &max_tasks,
+                 "largest task count a generated case draws (the default keeps "
+                 "every campaign's cases unchanged)");
   flags.AddString("policies", &policies,
                   "comma-separated policy pool (empty = the paper's six)");
   flags.AddString("cores", &cores_list,
@@ -108,6 +112,12 @@ int Main(int argc, char** argv) {
   }
 
   FuzzGenOptions gen_options;
+  if (max_tasks < gen_options.min_tasks || max_tasks > 1000) {
+    std::fprintf(stderr, "bad --max-tasks %lld (want %d..1000)\n",
+                 static_cast<long long>(max_tasks), gen_options.min_tasks);
+    return 1;
+  }
+  gen_options.max_tasks = static_cast<int>(max_tasks);
   if (!policies.empty()) {
     for (const auto& id : Split(policies, ',')) {
       std::string trimmed(Trim(id));
