@@ -419,16 +419,17 @@ AuditReport AuditMpResult(const MpSimResult& result, const SimOptions& options) 
                    static_cast<long long>(cluster.speed_switches),
                    static_cast<long long>(speed_switches)));
   }
-  if (result.mode == MpMode::kPartitioned) {
-    // Job-level counters live on the slices in partitioned mode and must
-    // sum to the cluster; migrations are impossible by construction.
+  if (result.mode == MpMode::kPartitioned || result.num_cores == 1) {
+    // Job-level counters live on the slices in partitioned mode, and on the
+    // one slice at M = 1 in either mode, and must sum to the cluster;
+    // migrations are impossible by construction.
     if (cluster.releases != releases || cluster.completions != completions ||
         cluster.deadline_misses != misses || cluster.aborted != aborted ||
         cluster.unfinished_at_horizon != unfinished) {
-      fail("partitioned cluster job counters do not sum over the slices");
+      fail("cluster job counters do not sum over the slices");
     }
     if (result.migrations != 0) {
-      fail(StrFormat("partitioned run reported %lld migration(s)",
+      fail(StrFormat("partitioned or single-core run reported %lld migration(s)",
                      static_cast<long long>(result.migrations)));
     }
   } else if (releases != 0 || completions != 0 || misses != 0 || aborted != 0 ||

@@ -55,6 +55,26 @@ TEST(MpAuditTest, CleanResultsPassBothModes) {
   }
 }
 
+// At M = 1 either mode runs the one core like a partitioned core: the slice
+// carries the job counters, and the cluster audit must accept that in
+// global mode too (a single-core global sweep would otherwise count one
+// violation per run).
+TEST(MpAuditTest, SingleCoreGlobalRunPasses) {
+  SimRequest request = BaseRequest(MpMode::kGlobal);
+  request.cluster.num_cores = 1;
+  request.tasks = TasksWithUtilizations({0.3, 0.4});
+  ConstantFractionModel model(0.7);
+  MpSimResult result = RunClusterSimulation(request, model);
+  ASSERT_TRUE(result.admitted);
+  ASSERT_GT(result.cores[0].releases, 0);
+  EXPECT_TRUE(result.cluster_audit.audited);
+  EXPECT_TRUE(result.cluster_audit.ok()) << result.cluster_audit.Summary();
+  // The sum check still applies: a slice counter that disagrees fires it.
+  result.cluster.completions += 1;
+  AuditReport report = AuditMpResult(result, request.options);
+  EXPECT_TRUE(report.Violated(AuditCheck::kCluster)) << report.Summary();
+}
+
 TEST(MpAuditTest, InfeasibleResultIsSkippedNotFailed) {
   SimRequest request = BaseRequest(MpMode::kPartitioned);
   request.tasks = TasksWithUtilizations({0.7, 0.7, 0.7});
