@@ -33,9 +33,9 @@ struct ShardOutcome {
   // Violations from the EDF normalization baseline run (reported even when
   // "edf" is not among the swept policy ids).
   int64_t baseline_audit_violations = 0;
-  // Multiprocessor shards only: false when the baseline / a policy's
-  // partitioned admission rejected the generated set (its energy fields are
-  // then meaningless and the merge loop skips them). Always true at M = 1.
+  // False when partitioned admission (M > 1) rejected the generated set
+  // for the baseline / a policy; its energy fields are then meaningless and
+  // the merge loop skips them.
   bool baseline_admitted = true;
   struct PerPolicy {
     double energy = 0;
@@ -50,25 +50,30 @@ struct ShardOutcome {
   FastPathStats fastpath;
 };
 
-// Multiprocessor variant of RunShard: the same draw structure (task set,
-// then one workload seed), but every run goes through the cluster API and
-// the generator targets utilization * num_cores (per-core axis, see
-// SweepOptions). Kept as a separate function so the single-core path stays
-// byte-for-byte the legacy code — the M = 1 bit-identity guarantee is
-// structural.
-ShardOutcome RunMpShard(const SweepOptions& options, double utilization,
-                        Pcg32 set_rng) {
-  TaskSetGeneratorOptions gen_options;
-  gen_options.num_tasks = options.num_tasks;
-  gen_options.target_utilization =
-      utilization * static_cast<double>(options.num_cores);
-  TaskSetGenerator generator(gen_options);
-  TaskSet tasks = generator.Generate(set_rng);
-  uint64_t workload_seed =
+// Runs every policy on one generated task set through the cluster API;
+// num_cores == 1 is a one-core cluster, whose totals are its single-core
+// result. The generator targets utilization * num_cores (the per-core axis,
+// see SweepOptions), then one workload seed gives every policy the same
+// execution-time draws. `set_rng` must be the fork the serial grid order
+// assigns to this shard.
+ShardOutcome RunShard(const SweepOptions& options, double utilization,
+                      Pcg32 set_rng) {
+  SimRequest request;
+  {
+    RTDVS_PROF_SCOPE("sweep/generate");
+    const double target = utilization * static_cast<double>(options.num_cores);
+    if (options.use_uunifast) {
+      request.tasks = GenerateUUniFast(options.num_tasks, target, set_rng);
+    } else {
+      TaskSetGeneratorOptions gen_options;
+      gen_options.num_tasks = options.num_tasks;
+      gen_options.target_utilization = target;
+      request.tasks = TaskSetGenerator(gen_options).Generate(set_rng);
+    }
+  }
+  const uint64_t workload_seed =
       (static_cast<uint64_t>(set_rng.NextU32()) << 32) | set_rng.NextU32();
 
-  SimRequest request;
-  request.tasks = tasks;
   request.cluster.num_cores = options.num_cores;
   request.cluster.machine = options.machine;
   request.mode = options.mp_mode;
@@ -86,10 +91,9 @@ ShardOutcome RunMpShard(const SweepOptions& options, double utilization,
 
   ShardOutcome outcome;
   outcome.policies.resize(options.policy_ids.size());
-  // Cluster audit plus every per-core slice audit (partitioned slices carry
-  // their own single-core reports; powered-down cores audit nothing).
+  // Cluster audit plus every per-core slice audit (powered-down cores audit
+  // nothing).
   auto record_audit = [&outcome, utilization](const MpSimResult& result,
-                                              const char* policy_id,
                                               int64_t* counter) {
     constexpr size_t kMaxMessagesPerShard = 4;
     auto add = [&](const AuditReport& report) {
@@ -98,9 +102,9 @@ ShardOutcome RunMpShard(const SweepOptions& options, double utilization,
         if (outcome.audit_messages.size() >= kMaxMessagesPerShard) {
           break;
         }
-        outcome.audit_messages.push_back(
-            StrFormat("[%s] u=%.2f %s: %s", AuditCheckName(violation.check),
-                      utilization, policy_id, violation.message.c_str()));
+        outcome.audit_messages.push_back(StrFormat(
+            "[%s] u=%.2f %s: %s", AuditCheckName(violation.check), utilization,
+            result.cluster.policy_name.c_str(), violation.message.c_str()));
       }
     };
     add(result.cluster_audit);
@@ -109,14 +113,13 @@ ShardOutcome RunMpShard(const SweepOptions& options, double utilization,
     }
   };
   auto run = [&options, &request](const std::string& id) {
-    SimRequest shard_request = request;
-    shard_request.policy_ids = {id};
+    request.policy_ids = {id};
     auto model = options.exec_model_factory();
-    return RunClusterSimulation(shard_request, *model);
+    return RunClusterSimulation(request, *model);
   };
 
-  // Cluster-EDF baseline (partitioned-EDF or global-EDF, matching the
-  // sweep's mode) for normalization and the cluster-level bound.
+  // EDF baseline (partitioned-EDF or global-EDF at M > 1, matching the
+  // sweep's mode) for normalization and the bound.
   MpSimResult edf_result = run("edf");
   outcome.baseline_admitted = edf_result.admitted;
   if (edf_result.admitted) {
@@ -140,92 +143,7 @@ ShardOutcome RunMpShard(const SweepOptions& options, double utilization,
     per.deadline_misses = result->cluster.deadline_misses;
     per.counters = result->cluster.policy_counters;
     outcome.fastpath.MergeFrom(result->cluster.fastpath);
-    record_audit(*result, options.policy_ids[p].c_str(),
-                 &per.audit_violations);
-  }
-  bool edf_in_list = false;
-  for (const auto& id : options.policy_ids) {
-    edf_in_list |= id == "edf";
-  }
-  if (!edf_in_list && edf_result.admitted) {
-    record_audit(edf_result, "edf", &outcome.baseline_audit_violations);
-    outcome.fastpath.MergeFrom(edf_result.cluster.fastpath);
-  }
-  return outcome;
-}
-
-// Runs every policy on one generated task set. `set_rng` must be the fork
-// the serial grid order assigns to this shard; the draw sequence below is
-// byte-for-byte the one the original serial loop performed.
-ShardOutcome RunShard(const SweepOptions& options, double utilization,
-                      Pcg32 set_rng) {
-  if (options.num_cores > 1) {
-    return RunMpShard(options, utilization, std::move(set_rng));
-  }
-  TaskSetGeneratorOptions gen_options;
-  gen_options.num_tasks = options.num_tasks;
-  gen_options.target_utilization = utilization;
-  TaskSetGenerator generator(gen_options);
-
-  TaskSet tasks = options.use_uunifast
-                      ? GenerateUUniFast(options.num_tasks, utilization, set_rng)
-                      : generator.Generate(set_rng);
-  // One seed per task set: every policy replays the same actual
-  // execution-time draws (see the determinism note in the header).
-  uint64_t workload_seed =
-      (static_cast<uint64_t>(set_rng.NextU32()) << 32) | set_rng.NextU32();
-
-  SimOptions sim_options;
-  sim_options.horizon_ms = options.horizon_ms;
-  sim_options.idle_level = options.idle_level;
-  sim_options.switch_time_ms = options.switch_time_ms;
-  sim_options.miss_policy = options.miss_policy;
-  sim_options.energy_coefficient = options.energy_coefficient;
-  sim_options.audit = options.audit;
-  sim_options.seed = workload_seed;
-  // Recycle job storage across this worker thread's runs (results are
-  // identical; see src/rt/job_pool.h).
-  sim_options.job_pool = &ThreadLocalJobPool();
-
-  ShardOutcome outcome;
-  outcome.policies.resize(options.policy_ids.size());
-  auto record_audit = [&outcome, utilization](const SimResult& result,
-                                              int64_t* counter) {
-    *counter += static_cast<int64_t>(result.audit.violations.size());
-    constexpr size_t kMaxMessagesPerShard = 4;
-    for (const auto& violation : result.audit.violations) {
-      if (outcome.audit_messages.size() >= kMaxMessagesPerShard) {
-        break;
-      }
-      outcome.audit_messages.push_back(
-          StrFormat("[%s] u=%.2f %s: %s", AuditCheckName(violation.check),
-                    utilization, result.policy_name.c_str(),
-                    violation.message.c_str()));
-    }
-  };
-
-  // Baseline first: plain EDF energy for normalization, and the bound.
-  auto edf = MakePolicy("edf");
-  auto edf_model = options.exec_model_factory();
-  SimResult edf_result =
-      RunSimulation(tasks, options.machine, *edf, *edf_model, sim_options);
-  outcome.edf_energy = edf_result.total_energy();
-  outcome.lower_bound = edf_result.lower_bound_energy;
-
-  for (size_t p = 0; p < options.policy_ids.size(); ++p) {
-    SimResult result;
-    if (options.policy_ids[p] == "edf") {
-      result = edf_result;  // no need to rerun the baseline
-    } else {
-      auto policy = MakePolicy(options.policy_ids[p]);
-      auto model = options.exec_model_factory();
-      result = RunSimulation(tasks, options.machine, *policy, *model, sim_options);
-    }
-    outcome.policies[p].energy = result.total_energy();
-    outcome.policies[p].deadline_misses = result.deadline_misses;
-    outcome.policies[p].counters = result.policy_counters;
-    outcome.fastpath.MergeFrom(result.fastpath);
-    record_audit(result, &outcome.policies[p].audit_violations);
+    record_audit(*result, &per.audit_violations);
   }
   // The baseline's own violations, unless they were already counted via an
   // "edf" entry in the policy list.
@@ -233,9 +151,9 @@ ShardOutcome RunShard(const SweepOptions& options, double utilization,
   for (const auto& id : options.policy_ids) {
     edf_in_list |= id == "edf";
   }
-  if (!edf_in_list) {
+  if (!edf_in_list && edf_result.admitted) {
     record_audit(edf_result, &outcome.baseline_audit_violations);
-    outcome.fastpath.MergeFrom(edf_result.fastpath);
+    outcome.fastpath.MergeFrom(edf_result.cluster.fastpath);
   }
   return outcome;
 }
@@ -409,54 +327,56 @@ SweepResult UtilizationSweep::RunShards(int jobs) const {
   // bit-identical regardless of how shards interleaved above.
   SweepResult result;
   result.rows.reserve(num_utils);
-  for (size_t ui = 0; ui < num_utils; ++ui) {
-    SweepRow row;
-    row.utilization = options_.utilizations[ui];
-    row.cells.resize(options_.policy_ids.size());
-    for (size_t si = 0; si < sets; ++si) {
-      const ShardOutcome& outcome = outcomes[ui * sets + si];
-      // Shards whose baseline was rejected by admission (MP only) carry no
-      // meaningful bound; the condition is always true at M = 1, so the
-      // single-core Add() sequence is unchanged.
-      if (outcome.baseline_admitted) {
-        row.bound.Add(outcome.lower_bound);
-        if (outcome.edf_energy > 0) {
-          row.normalized_bound.Add(outcome.lower_bound / outcome.edf_energy);
+  {
+    RTDVS_PROF_SCOPE("sweep/merge");
+    for (size_t ui = 0; ui < num_utils; ++ui) {
+      SweepRow row;
+      row.utilization = options_.utilizations[ui];
+      row.cells.resize(options_.policy_ids.size());
+      for (size_t si = 0; si < sets; ++si) {
+        const ShardOutcome& outcome = outcomes[ui * sets + si];
+        // Shards whose baseline was rejected by admission carry no
+        // meaningful bound.
+        if (outcome.baseline_admitted) {
+          row.bound.Add(outcome.lower_bound);
+          if (outcome.edf_energy > 0) {
+            row.normalized_bound.Add(outcome.lower_bound / outcome.edf_energy);
+          }
+        }
+        result.audit_violations += outcome.baseline_audit_violations;
+        result.profile.fastpath.MergeFrom(outcome.fastpath);
+        constexpr size_t kMaxMessages = 10;
+        for (const auto& message : outcome.audit_messages) {
+          if (result.audit_messages.size() >= kMaxMessages) {
+            break;
+          }
+          result.audit_messages.push_back(message);
+        }
+        for (size_t p = 0; p < options_.policy_ids.size(); ++p) {
+          PolicyCell& cell = row.cells[p];
+          if (!outcome.policies[p].admitted) {
+            ++cell.admission_rejections;
+            // Mirrored into the mergeable counters so rejections surface in
+            // profile.policy_counters totals alongside migrations.
+            ++cell.counters.admission_rejections;
+            continue;
+          }
+          cell.energy.Add(outcome.policies[p].energy);
+          if (outcome.edf_energy > 0) {
+            cell.normalized_energy.Add(outcome.policies[p].energy /
+                                       outcome.edf_energy);
+          }
+          cell.deadline_misses += outcome.policies[p].deadline_misses;
+          if (outcome.policies[p].deadline_misses > 0) {
+            ++cell.tasksets_with_misses;
+          }
+          cell.audit_violations += outcome.policies[p].audit_violations;
+          result.audit_violations += outcome.policies[p].audit_violations;
+          cell.counters.MergeFrom(outcome.policies[p].counters);
         }
       }
-      result.audit_violations += outcome.baseline_audit_violations;
-      result.profile.fastpath.MergeFrom(outcome.fastpath);
-      constexpr size_t kMaxMessages = 10;
-      for (const auto& message : outcome.audit_messages) {
-        if (result.audit_messages.size() >= kMaxMessages) {
-          break;
-        }
-        result.audit_messages.push_back(message);
-      }
-      for (size_t p = 0; p < options_.policy_ids.size(); ++p) {
-        PolicyCell& cell = row.cells[p];
-        if (!outcome.policies[p].admitted) {
-          ++cell.admission_rejections;
-          // Mirrored into the mergeable counters so rejections surface in
-          // profile.policy_counters totals alongside migrations.
-          ++cell.counters.admission_rejections;
-          continue;
-        }
-        cell.energy.Add(outcome.policies[p].energy);
-        if (outcome.edf_energy > 0) {
-          cell.normalized_energy.Add(outcome.policies[p].energy /
-                                     outcome.edf_energy);
-        }
-        cell.deadline_misses += outcome.policies[p].deadline_misses;
-        if (outcome.policies[p].deadline_misses > 0) {
-          ++cell.tasksets_with_misses;
-        }
-        cell.audit_violations += outcome.policies[p].audit_violations;
-        result.audit_violations += outcome.policies[p].audit_violations;
-        cell.counters.MergeFrom(outcome.policies[p].counters);
-      }
+      result.rows.push_back(std::move(row));
     }
-    result.rows.push_back(std::move(row));
   }
 
   // Profile: grid-wide counter totals fold the per-cell merges (still serial

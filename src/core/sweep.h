@@ -61,16 +61,16 @@ struct SweepOptions {
   // SweepResult::audit_violations (never aborting mid-sweep).
   bool audit = true;
   MachineSpec machine = MachineSpec::Machine0();
-  // Multiprocessor sweep (the partitioned-vs-global energy comparisons):
-  // each generated task set runs on an M-core cluster through the cluster
-  // API instead of a single Simulator. The utilization axis stays PER-CORE
-  // — the generator targets utilization * num_cores over the whole set —
-  // so M = 2 at u = 0.5 means a half-loaded dual-core cluster. num_cores
-  // == 1 (the default) takes the legacy single-core code path untouched,
-  // so existing sweeps stay bit-identical. Partitioned shards a policy's
-  // admission test rejects contribute no energy samples and are counted in
-  // PolicyCell::admission_rejections. UUniFast is single-core only (its
-  // per-task utilizations are unbounded above 1 when the total exceeds 1).
+  // Cores per cluster. Every generated task set runs on an M-core cluster
+  // through the cluster API (src/sim/mp_simulator.h); M = 1 (the default)
+  // is the paper's single processor, whose cluster totals are exactly its
+  // single-core result. The utilization axis stays PER-CORE — the
+  // generator targets utilization * num_cores over the whole set — so
+  // M = 2 at u = 0.5 means a half-loaded dual-core cluster. Partitioned
+  // shards a policy's admission test rejects (M > 1) contribute no energy
+  // samples and are counted in PolicyCell::admission_rejections. UUniFast
+  // is single-core only (its per-task utilizations are unbounded above 1
+  // when the total exceeds 1).
   int num_cores = 1;
   MpMode mp_mode = MpMode::kPartitioned;
   PartitionHeuristic mp_partition = PartitionHeuristic::kFirstFit;

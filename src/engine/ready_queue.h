@@ -1,8 +1,11 @@
-// Ready-job selection keyed by the active Scheduler's priority order, plus
-// the preemption accounting both hosts derive from consecutive picks. The
-// job vector stays owned by the host (jobs are value types that hosts erase
-// and remap freely — the kernel renumbers dense task ids on unregister), so
-// the queue keeps no index into it. Pick and PickTrackedWith scan every job,
+// Ready-job selection in a scheduler's priority order, plus the preemption
+// accounting both hosts derive from consecutive picks. Pick takes the order
+// from a bound virtual Scheduler (the kernel); PickTrackedWith,
+// PickTrackedSince and PickTopK take it as an inline comparator (the
+// simulator's loop knows its scheduler kind statically). The job vector
+// stays owned by the host (jobs are value types that hosts erase and remap
+// freely — the kernel renumbers dense task ids on unregister), so the queue
+// keeps no index into it. Pick and PickTrackedWith scan every job,
 // O(active jobs). PickTrackedSince is the single-core simulator's pick: a
 // host that says what changed since its last pick pays only for the jobs
 // added since then. The order is total (EDF and RM break ties by task id,
@@ -119,14 +122,17 @@ class ReadyQueue {
   // Global-mode selection (multiprocessor cluster, src/sim/mp_simulator.h):
   // up to `k` highest-priority runnable jobs in priority order, at most one
   // job per task — a task's backlogged invocations never run in parallel.
-  // Deterministic: ties resolve by the scheduler's total order (EDF/RM both
-  // break ties by task id then release), and the stable sort preserves
-  // creation order beyond that. Returns indices into `jobs`, as a reference
-  // to member scratch valid until the next PickTopK call on this queue.
+  // `higher` is the priority order, as for PickTrackedSince; task ids are
+  // below `num_tasks`. Deterministic: ties resolve by the total order
+  // (EDF/RM both break ties by task id then release), and the stable sort
+  // preserves creation order beyond that. Returns indices into `jobs`, as a
+  // reference to member scratch valid until the next PickTopK call on this
+  // queue.
+  template <typename HigherPri>
   const std::vector<size_t>& PickTopK(const std::vector<Job>& jobs,
-                                      const TaskSet& tasks, size_t k) {
+                                      size_t num_tasks, size_t k,
+                                      const HigherPri& higher) {
     RTDVS_PROF_SCOPE("engine/ready_queue/pick_top_k");
-    RTDVS_CHECK(scheduler_ != nullptr) << "ReadyQueue used before BindScheduler";
     ready_scratch_.clear();
     for (size_t i = 0; i < jobs.size(); ++i) {
       if (!jobs[i].finished && !jobs[i].suspended) {
@@ -134,11 +140,9 @@ class ReadyQueue {
       }
     }
     std::stable_sort(ready_scratch_.begin(), ready_scratch_.end(),
-                     [&](size_t a, size_t b) {
-                       return scheduler_->HigherPriority(jobs[a], jobs[b], tasks);
-                     });
+                     [&](size_t a, size_t b) { return higher(jobs[a], jobs[b]); });
     picked_scratch_.clear();
-    claimed_scratch_.assign(static_cast<size_t>(tasks.size()), 0);
+    claimed_scratch_.assign(num_tasks, 0);
     for (size_t index : ready_scratch_) {
       if (picked_scratch_.size() >= k) {
         break;

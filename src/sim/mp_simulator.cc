@@ -11,9 +11,8 @@
 namespace rtdvs {
 namespace {
 
-// Per-core RNG stream for partitioned mode. Core 0 keeps the request seed,
-// so an M=1 request is bit-identical to the legacy single-core path; higher
-// cores decorrelate via the golden-ratio multiplier.
+// Per-core RNG stream for partitioned mode. Core 0 keeps the request seed;
+// higher cores decorrelate via the golden-ratio multiplier.
 uint64_t CoreSeed(uint64_t seed, int core) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(core));
 }
@@ -108,13 +107,10 @@ std::string ClusterPolicyName(const std::vector<DvsPolicy*>& policies) {
   return name;
 }
 
-// --- M = 1: route straight to the single-core Simulator with untouched
-// options, making the new API bit-identical to the legacy path (the legacy
-// RunSimulation overloads are wrappers over this branch). ---
+// --- M = 1, either mode: the one core runs the whole set with untouched
+// options, exactly as RunSimulation does. ---
 void RunSingleCore(const SimRequest& request, DvsPolicy* policy,
                    ExecTimeModel& exec_model, MpSimResult* out) {
-  Simulator sim(request.tasks, request.cluster.machine, policy, &exec_model,
-                request.options);
   out->admitted = true;
   out->partition.feasible = true;
   out->partition.core_of_task.assign(static_cast<size_t>(request.tasks.size()), 0);
@@ -126,7 +122,8 @@ void RunSingleCore(const SimRequest& request, DvsPolicy* policy,
   for (int id = 0; id < request.tasks.size(); ++id) {
     out->core_global_ids[0].push_back(id);
   }
-  out->cores[0] = sim.Run();
+  out->cores[0] = RunSimulation(request.tasks, request.cluster.machine, *policy,
+                                exec_model, request.options);
   // The simulated set may have grown a server task; size the cluster stats
   // to what the core actually reported.
   if (out->cores[0].server_task_id >= 0) {
@@ -361,25 +358,6 @@ JsonValue MpSimResultToJson(const MpSimResult& result) {
   }
   doc.Set("cores", std::move(cores));
   return doc;
-}
-
-SimResult RunSimulation(const TaskSet& tasks, const MachineSpec& machine,
-                        DvsPolicy& policy, ExecTimeModel& exec_model,
-                        const SimOptions& options) {
-  SimRequest request;
-  request.tasks = tasks;
-  request.cluster.num_cores = 1;
-  request.cluster.machine = machine;
-  request.options = options;
-  MpSimResult mp = RunClusterSimulation(request, {&policy}, exec_model);
-  return std::move(mp.cores.front());
-}
-
-SimResult RunSimulation(const TaskSet& tasks, const MachineSpec& machine,
-                        const std::string& policy_id, ExecTimeModel& exec_model,
-                        const SimOptions& options) {
-  std::unique_ptr<DvsPolicy> policy = MakePolicy(policy_id);
-  return RunSimulation(tasks, machine, *policy, exec_model, options);
 }
 
 }  // namespace rtdvs

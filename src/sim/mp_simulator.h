@@ -4,11 +4,13 @@
 // scheduling mode, the partition heuristic, one DVS policy id per core, and
 // the usual SimOptions — and RunClusterSimulation returns an MpSimResult:
 // one SimResult-shaped slice per core plus cluster totals, the partition
-// report, and migration counters. The legacy single-core RunSimulation
-// overloads (declared in simulator.h) are thin M=1 wrappers over this entry
-// point, and M=1 requests are bit-identical to the legacy path by
-// construction: the driver routes them straight to the single-core
-// Simulator with untouched options.
+// report, and migration counters.
+//
+// M = 1, in either mode: the one core runs the whole set through
+// RunSimulation (simulator.h) with untouched options. Its slice IS the
+// single-core result, the cluster totals equal it (each is a sum from 0),
+// the partition report puts every task on core 0, and there is no
+// admission test.
 //
 // Partitioned mode (M > 1): tasks are bin-packed by PartitionTasks; each
 // non-empty core runs its own single-core Simulator over its sub-task-set
@@ -108,7 +110,7 @@ MpSimResult RunClusterSimulation(const SimRequest& request,
 
 // As above with caller-owned policies (size num_cores, one per core; they
 // are mutated). request.policy_ids is ignored. Lets tests observe policy
-// state after the run and backs the legacy single-core wrappers.
+// state after the run.
 MpSimResult RunClusterSimulation(const SimRequest& request,
                                  const std::vector<DvsPolicy*>& policies,
                                  ExecTimeModel& exec_model);

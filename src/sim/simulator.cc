@@ -52,7 +52,7 @@ Simulator::Simulator(TaskSet tasks, MachineSpec machine,
   RTDVS_CHECK_GT(options_.horizon_ms, 0.0);
   RTDVS_CHECK(!tasks_.empty()) << "cannot simulate an empty task set";
   RTDVS_CHECK_GE(options_.switch_time_ms, 0.0);
-  scheduler_ = MakeScheduler(policies.front()->scheduler_kind());
+  kind_ = policies.front()->scheduler_kind();
   cores_.reserve(policies.size());
   for (DvsPolicy* policy : policies) {
     cores_.emplace_back(policy, energy_);
@@ -333,7 +333,7 @@ SimResult Simulator::Run() {
     task_states_[static_cast<size_t>(server_task_id_)].next_release_ms = kInf;
   }
   result_.policy_name = cores_.front().policy->name();
-  result_.scheduler = scheduler_->kind();
+  result_.scheduler = kind_;
   result_.horizon_ms = options_.horizon_ms;
   result_.residency.clear();
   for (const auto& point : machine_.points()) {
@@ -348,7 +348,7 @@ SimResult Simulator::Run() {
     if (global) {
       target = &core.slice;
       target->policy_name = core.policy->name();
-      target->scheduler = scheduler_->kind();
+      target->scheduler = kind_;
       target->horizon_ms = options_.horizon_ms;
       target->residency = result_.residency;
       target->trace.set_capacity_limit(options_.max_trace_segments);
@@ -365,7 +365,6 @@ SimResult Simulator::Run() {
   }
   context_builder_.Bind(&tasks_, &machine_);
   dirty_.Reset(static_cast<int>(n));
-  ready_.BindScheduler(scheduler_.get());
   ready_.ResetTracking();
   const size_t jobs_reserve = std::max<size_t>(16, 2 * n);
   if (options_.job_pool != nullptr) {
@@ -400,11 +399,11 @@ SimResult Simulator::Run() {
   }
 
   if (aperiodic_.has_value()) {
-    RunLoopFor<true, false>(scheduler_->kind());
+    RunLoopFor<true, false>(kind_);
   } else if (global) {
-    RunLoopFor<false, true>(scheduler_->kind());
+    RunLoopFor<false, true>(kind_);
   } else {
-    RunLoopFor<false, false>(scheduler_->kind());
+    RunLoopFor<false, false>(kind_);
   }
 
   if (global) {
@@ -464,10 +463,13 @@ void Simulator::RunLoopFor(SchedulerKind kind) {
   }
 }
 
+template <SchedulerKind kKind>
 void Simulator::DispatchGlobal() {
   // PickTopK's scan plus the preemption pass below.
   result_.fastpath.jobs_visited += 2 * static_cast<int64_t>(jobs_.size());
-  const std::vector<size_t>& picked = ready_.PickTopK(jobs_, tasks_, cores_.size());
+  const std::vector<size_t>& picked = ready_.PickTopK(
+      jobs_, task_states_.size(), cores_.size(),
+      [this](const Job& a, const Job& b) { return HigherPriority<kKind>(a, b); });
   for (Core& core : cores_) {
     core.job = Scheduler::kNone;
   }
@@ -749,7 +751,7 @@ void Simulator::RunLoop() {
         }
       }
       if constexpr (kGlobal) {
-        DispatchGlobal();
+        DispatchGlobal<kKind>();
       } else {
         // While jobs were only released since the last pick (or the last
         // compaction, which computes one), the pick is the better of that
@@ -934,9 +936,18 @@ void Simulator::RunLoop() {
   }
 }
 
-// The RunSimulation convenience wrappers are defined in mp_simulator.cc:
-// they route through the M=1 cluster path so the legacy API and the
-// SimRequest API share one entry point (and one audit story).
+SimResult RunSimulation(const TaskSet& tasks, const MachineSpec& machine,
+                        DvsPolicy& policy, ExecTimeModel& exec_model,
+                        const SimOptions& options) {
+  return Simulator(tasks, machine, &policy, &exec_model, options).Run();
+}
+
+SimResult RunSimulation(const TaskSet& tasks, const MachineSpec& machine,
+                        const std::string& policy_id, ExecTimeModel& exec_model,
+                        const SimOptions& options) {
+  std::unique_ptr<DvsPolicy> policy = MakePolicy(policy_id);
+  return RunSimulation(tasks, machine, *policy, exec_model, options);
+}
 
 JsonValue FastPathStatsToJson(const FastPathStats& stats) {
   JsonValue doc = JsonValue::Object();

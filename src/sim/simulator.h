@@ -6,10 +6,11 @@
 // integrates in closed form.
 //
 // The simulator is a thin driver over the shared engine components
-// (src/engine/): a ReadyQueue picks the running job under the active
-// Scheduler, a ContextBuilder derives the PolicyContext, a
-// ModelEnergyAccountant integrates time/energy per segment, and a
-// ModeledSpeedController services policy speed requests. No event queue is
+// (src/engine/): a ReadyQueue picks the running jobs in the scheduler's
+// priority order (src/rt/scheduler.h, resolved at compile time), a
+// ContextBuilder derives the PolicyContext, a ModelEnergyAccountant
+// integrates time/energy per segment, and a ModeledSpeedController
+// services policy speed requests. No event queue is
 // needed: the next event is the minimum over state the simulator already
 // owns (the head of the release calendar, the pending policy wakeups, the
 // running jobs' completions and, with an aperiodic server, the next arrival
@@ -172,8 +173,9 @@ class Simulator {
   // point. kGlobal (M > 1) runs the per-core work over every core:
   // DispatchGlobal instead of the single pick, OnIdle ahead of each idle
   // core's segment, and callback fan-out in core order. kKind statically
-  // selects the priority comparator (src/rt/scheduler.h) so the single-core
-  // pick runs with zero virtual dispatch; RM compares through periods_.
+  // selects the priority comparator (src/rt/scheduler.h) so the pick and the
+  // global dispatch run with zero virtual dispatch; RM compares through
+  // periods_.
   template <bool kServer, bool kGlobal, SchedulerKind kKind>
   void RunLoop();
   template <bool kServer, bool kGlobal>
@@ -188,10 +190,12 @@ class Simulator {
       return std::span<Core, 1>(cores_.data(), 1);
     }
   }
-  // M > 1: runs the top M jobs, one per core. A job keeps its previous core
-  // when that core is free; the rest fill free cores lowest-index-first in
-  // priority order, and landing on a different core than last time counts a
-  // migration. Counts the preemptions the dispatch causes.
+  // M > 1: runs the top M jobs in HigherPriority<kKind> order, one per
+  // core. A job keeps its previous core when that core is free; the rest
+  // fill free cores lowest-index-first in priority order, and landing on a
+  // different core than last time counts a migration. Counts the
+  // preemptions the dispatch causes.
+  template <SchedulerKind kKind>
   void DispatchGlobal();
   // M > 1: OnIdle for each core without a job that is not already idle.
   void NotifyIdleCores();
@@ -269,7 +273,7 @@ class Simulator {
   ExecTimeModel* exec_model_;
   SimOptions options_;
 
-  std::unique_ptr<Scheduler> scheduler_;
+  SchedulerKind kind_ = SchedulerKind::kEdf;
   EnergyModel energy_;
   Pcg32 rng_;
 
@@ -337,7 +341,8 @@ class Simulator {
   bool ran_ = false;
 };
 
-// Convenience wrapper: builds the policy's matching scheduler and runs.
+// Convenience wrapper: one single-core Simulator run. The M = 1 cluster
+// (src/sim/mp_simulator.h) runs its core through it.
 SimResult RunSimulation(const TaskSet& tasks, const MachineSpec& machine,
                         DvsPolicy& policy, ExecTimeModel& exec_model,
                         const SimOptions& options);
