@@ -67,8 +67,8 @@ std::unique_ptr<ExecTimeModel> MakeFuzzExecModel(const std::string& spec);
 // SimOptions for the case (audit on, trace off, no aperiodic server).
 SimOptions FuzzSimOptions(const FuzzCase& c);
 // The full cluster request (machine, cores, mode, heuristic, one policy id
-// applied to every core, options). For num_cores == 1 this is exactly the
-// M=1 request whose result is bit-identical to the legacy RunSimulation.
+// applied to every core, options). For num_cores == 1 the request's one
+// slice is the RunSimulation result.
 SimRequest FuzzSimRequest(const FuzzCase& c);
 
 // --- Repro strings ---

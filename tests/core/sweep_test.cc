@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/util/json.h"
+#include "src/util/profiler.h"
 
 namespace rtdvs {
 namespace {
@@ -240,7 +241,10 @@ TEST(UtilizationSweep, UUniFastGeneratorAlsoWorks) {
 
 TEST(UtilizationSweep, RecordsPolicyCountersAndProfile) {
   SweepOptions options = SmallOptions();
+  options.profile = true;
   SweepResult result = UtilizationSweep(options).Run();
+  Profiler::Disable();
+  Profiler::Reset();
   // The dynamic policies decide constantly; their counters cannot be empty.
   const auto& ids = result.options.policy_ids;
   for (const auto& row : result.rows) {
@@ -273,6 +277,12 @@ TEST(UtilizationSweep, RecordsPolicyCountersAndProfile) {
     }
     EXPECT_EQ(result.profile.policy_counters[p], expected) << ids[p];
   }
+  // Sweep-overhead spans: one task-set generation per shard, one merge.
+  const auto& spans = result.profile.spans.spans;
+  ASSERT_TRUE(spans.count("sweep/generate")) << "no sweep/generate span";
+  ASSERT_TRUE(spans.count("sweep/merge")) << "no sweep/merge span";
+  EXPECT_EQ(spans.at("sweep/generate").count, 8);
+  EXPECT_EQ(spans.at("sweep/merge").count, 1);
 }
 
 TEST(UtilizationSweep, ProgressCallbackSeesEveryShardInOrder) {

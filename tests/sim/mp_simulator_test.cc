@@ -1,5 +1,5 @@
 // Tests for the multiprocessor cluster driver (src/sim/mp_simulator.cc):
-// M = 1 bit-identity with the legacy RunSimulation path, partitioned-mode
+// M = 1 bit-identity with a plain RunSimulation, partitioned-mode
 // decomposition into independent single-core runs, powered-down cores,
 // global-mode dispatch, per-core policy bookkeeping isolation, infeasible
 // rejection, and the JSON view.
@@ -40,8 +40,8 @@ std::unique_ptr<ExecTimeModel> PaperTableModel() {
       {2.0 / 3.0, 1.0 / 3.0}, {1.0 / 3.0, 1.0 / 3.0}, {1.0, 1.0}});
 }
 
-// Exact equality, field by field: the M = 1 cluster path must be the SAME
-// code path as the legacy wrapper, so even the doubles match bitwise.
+// Exact equality, field by field: the M = 1 cluster runs its core through
+// RunSimulation itself, so even the doubles match bitwise.
 void ExpectSliceIdentical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.policy_name, b.policy_name);
   EXPECT_EQ(a.releases, b.releases);
@@ -78,10 +78,9 @@ void ExpectSliceIdentical(const SimResult& a, const SimResult& b) {
   }
 }
 
-// Issue 6 acceptance: the Table 2/3 worked example through the new
-// SimRequest API at M = 1 is bit-identical to the legacy RunSimulation for
-// every paper policy.
-TEST(MpSimulatorTest, PaperExampleM1BitIdenticalToLegacyForAllPolicies) {
+// The Table 2/3 worked example through the SimRequest API at M = 1 is
+// bit-identical to a plain RunSimulation for every paper policy.
+TEST(MpSimulatorTest, PaperExampleM1BitIdenticalToRunSimulationForAllPolicies) {
   for (const std::string& policy_id : AllPaperPolicyIds()) {
     SimRequest request;
     request.tasks = TaskSet::PaperExample();
@@ -92,22 +91,22 @@ TEST(MpSimulatorTest, PaperExampleM1BitIdenticalToLegacyForAllPolicies) {
     auto mp_model = PaperTableModel();
     MpSimResult mp = RunClusterSimulation(request, *mp_model);
 
-    auto legacy_model = PaperTableModel();
-    SimResult legacy = RunSimulation(TaskSet::PaperExample(),
+    auto single_model = PaperTableModel();
+    SimResult single = RunSimulation(TaskSet::PaperExample(),
                                      MachineSpec::Machine0(), policy_id,
-                                     *legacy_model, request.options);
+                                     *single_model, request.options);
 
     SCOPED_TRACE(policy_id);
     ASSERT_TRUE(mp.admitted);
     EXPECT_EQ(mp.num_cores, 1);
     EXPECT_EQ(mp.migrations, 0);
     ASSERT_EQ(mp.cores.size(), 1u);
-    ExpectSliceIdentical(mp.cores[0], legacy);
+    ExpectSliceIdentical(mp.cores[0], single);
     // The cluster totals of an M = 1 run are the slice itself.
-    EXPECT_EQ(mp.cluster.exec_energy, legacy.exec_energy);
-    EXPECT_EQ(mp.cluster.idle_energy, legacy.idle_energy);
-    EXPECT_EQ(mp.cluster.releases, legacy.releases);
-    EXPECT_EQ(mp.cluster.completions, legacy.completions);
+    EXPECT_EQ(mp.cluster.exec_energy, single.exec_energy);
+    EXPECT_EQ(mp.cluster.idle_energy, single.idle_energy);
+    EXPECT_EQ(mp.cluster.releases, single.releases);
+    EXPECT_EQ(mp.cluster.completions, single.completions);
     ASSERT_TRUE(mp.cluster_audit.audited);
     EXPECT_TRUE(mp.cluster_audit.ok()) << mp.cluster_audit.Summary();
   }
