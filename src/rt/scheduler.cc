@@ -16,8 +16,8 @@ std::string SchedulerKindName(SchedulerKind kind) {
 
 namespace {
 
-// TaskSet-indirected form of RmHigherPriority for the virtual path, which
-// has no dense period cache to hand over.
+// TaskSet-indirected form of RmHigherPriority for RmScheduler::PickJob,
+// which has no dense period cache to hand over.
 inline bool PeriodHigherPriority(const Job& a, const Job& b,
                                  const TaskSet& tasks) {
   double pa = tasks.task(a.task_id).period_ms;
@@ -33,36 +33,10 @@ inline bool PeriodHigherPriority(const Job& a, const Job& b,
 
 }  // namespace
 
-// Fallback selection loop over the virtual HigherPriority (a strictly
-// outranks b) for scheduler subclasses that do not override PickJob.
-size_t Scheduler::PickJob(const std::vector<Job>& jobs, const TaskSet& tasks) const {
-  size_t best = kNone;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].finished || jobs[i].suspended) {
-      continue;
-    }
-    if (best == kNone || HigherPriority(jobs[i], jobs[best], tasks)) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-bool EdfScheduler::HigherPriority(const Job& a, const Job& b,
-                                  const TaskSet& tasks) const {
-  (void)tasks;
-  return EdfHigherPriority(a, b);
-}
-
 size_t EdfScheduler::PickJob(const std::vector<Job>& jobs,
                              const TaskSet& tasks) const {
   (void)tasks;
   return PickJobWith(jobs, EdfComparator{});
-}
-
-bool RmScheduler::HigherPriority(const Job& a, const Job& b,
-                                 const TaskSet& tasks) const {
-  return PeriodHigherPriority(a, b, tasks);
 }
 
 size_t RmScheduler::PickJob(const std::vector<Job>& jobs,

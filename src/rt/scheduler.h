@@ -86,28 +86,21 @@ class Scheduler {
   virtual ~Scheduler() = default;
   virtual SchedulerKind kind() const = 0;
 
-  // The priority order itself: true when `a` strictly outranks `b`. Exposed
-  // so ready-queue structures (src/engine/ready_queue.h) can be keyed by
-  // the active scheduler without reimplementing its tie-breaking.
-  virtual bool HigherPriority(const Job& a, const Job& b,
-                              const TaskSet& tasks) const = 0;
-
   // Returns the index (into `jobs`) of the job to run, or kNone when no job
   // is runnable. Jobs flagged finished or suspended are skipped; ties
   // resolve to the lowest index among equal-priority jobs.
-  virtual size_t PickJob(const std::vector<Job>& jobs, const TaskSet& tasks) const;
+  virtual size_t PickJob(const std::vector<Job>& jobs,
+                         const TaskSet& tasks) const = 0;
 
   static constexpr size_t kNone = static_cast<size_t>(-1);
 };
 
 // Highest priority = earliest absolute deadline; ties by task id, then by
-// release time (FIFO within a task). Overrides PickJob so the per-element
-// comparison inlines (the selection runs once per simulation step).
+// release time (FIFO within a task). PickJob inlines the per-element
+// comparison (the selection runs once per kernel tick).
 class EdfScheduler : public Scheduler {
  public:
   SchedulerKind kind() const override { return SchedulerKind::kEdf; }
-  bool HigherPriority(const Job& a, const Job& b,
-                      const TaskSet& tasks) const override;
   size_t PickJob(const std::vector<Job>& jobs, const TaskSet& tasks) const override;
 };
 
@@ -115,8 +108,6 @@ class EdfScheduler : public Scheduler {
 class RmScheduler : public Scheduler {
  public:
   SchedulerKind kind() const override { return SchedulerKind::kRm; }
-  bool HigherPriority(const Job& a, const Job& b,
-                      const TaskSet& tasks) const override;
   size_t PickJob(const std::vector<Job>& jobs, const TaskSet& tasks) const override;
 };
 
