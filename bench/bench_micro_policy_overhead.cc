@@ -25,7 +25,7 @@
 #include "bench/bench_json.h"
 #include "src/dvs/policy.h"
 #include "src/rt/task.h"
-#include "src/util/metrics_registry.h"
+#include "src/util/histogram.h"
 #include "src/util/random.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"

@@ -2,7 +2,7 @@
 // partitioned-scheduling admission layer for M identical DVS cores.
 //
 // The paper's RT-DVS policies (§3) are per-processor; the engine
-// decomposition (ReadyQueue / EnergyAccountant / SpeedController) was
+// decomposition (ReadyQueue / ModelEnergyAccountant / SpeedController) was
 // built so M independent per-core instances can be composed under one
 // simulated clock. This header holds the pieces that are
 // pure scheduling theory — the cluster spec, the scheduling mode, and the

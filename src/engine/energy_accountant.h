@@ -1,15 +1,14 @@
 // Segment-level time/energy accounting shared by the simulation and kernel
 // hosts. Between events the processor state is constant, so each segment
-// integrates in closed form; the accountant owns the wall-clock partition
-// (busy/idle/switching), total work, energy sums, per-operating-point
-// residency and trace emission, while the host-specific energy arithmetic
-// lives behind three virtual hooks:
+// integrates in closed form against the normalized EnergyModel (work·V²
+// exec, t·f·V²·idle_level idle; switch halts cost time but ~no energy,
+// §3.1). The accountant owns the wall-clock partition (busy/idle/switching),
+// total work, energy sums, per-operating-point residency and trace
+// recording.
 //
-//   * ModelEnergyAccountant      — the simulator's normalized EnergyModel
-//                                  (work·V² exec, t·f·V²·idle_level idle,
-//                                  switch halts cost time but ~no energy).
-//   * the kernel's metered variant (kernel.cc) — SystemPowerModel watts into
-//                                  a PowerMeter, Figure 15 style.
+// The simulator reads every total. The kernel reads only the wall-clock
+// partition and the work: it meters SystemPowerModel watts into its own
+// PowerMeter beside each Record* call (kernel.cc), Figure 15 style.
 //
 // The reference simulator (src/sim/reference_sim.cc) deliberately does NOT
 // use this class: it re-integrates energy from first principles so the
@@ -23,7 +22,7 @@
 #include "src/cpu/energy_model.h"
 #include "src/cpu/machine_spec.h"
 #include "src/cpu/operating_point.h"
-#include "src/engine/trace_sink.h"
+#include "src/engine/trace.h"
 #include "src/util/profiler.h"
 
 namespace rtdvs {
@@ -48,9 +47,9 @@ struct EngineTotals {
   double idle_energy = 0;
 };
 
-class EnergyAccountant {
+class ModelEnergyAccountant {
  public:
-  virtual ~EnergyAccountant() = default;
+  explicit ModelEnergyAccountant(const EnergyModel& model) : model_(model) {}
 
   // Optional per-point residency output; `machine` resolves point indices.
   // Both must outlive the accountant (or be rebound). Pass nullptrs to
@@ -60,14 +59,13 @@ class EnergyAccountant {
     machine_ = machine;
     residency_ = residency;
   }
-  void set_trace_sink(TraceSink* sink) { sink_ = sink; }
+  // Segments are appended to `trace` when it is non-null.
+  void set_trace(Trace* trace) { trace_ = trace; }
 
   void Reset() { totals_ = EngineTotals{}; }
 
   // The Record* methods are defined inline: they run once per integrated
-  // segment on both hosts' hot paths, and a caller holding a concrete
-  // accountant (the simulator holds a ModelEnergyAccountant by value) can
-  // then devirtualize and inline the Joules hooks.
+  // segment on both hosts' hot paths.
   //
   // Zero-length segments are ignored; callers need not guard.
   void RecordExecution(double start_ms, double end_ms, double work, int task_id,
@@ -79,15 +77,15 @@ class EnergyAccountant {
     }
     totals_.work += work;
     totals_.busy_ms += dt;
-    const double joules = ExecutionJoules(start_ms, end_ms, work, point);
+    const double joules = model_.ExecutionEnergy(work, point);
     totals_.exec_energy += joules;
     if (residency_ != nullptr) {
       auto& res = (*residency_)[machine_->IndexOf(point)];
       res.exec_ms += dt;
       res.exec_energy += joules;
     }
-    if (sink_ != nullptr) {
-      sink_->OnSegment({start_ms, end_ms, CpuState::kExecuting, task_id, point});
+    if (trace_ != nullptr) {
+      trace_->AddSegment({start_ms, end_ms, CpuState::kExecuting, task_id, point});
     }
   }
 
@@ -98,20 +96,20 @@ class EnergyAccountant {
       return;
     }
     totals_.idle_ms += dt;
-    const double joules = IdleJoules(start_ms, end_ms, point);
+    const double joules = model_.IdleEnergy(dt, point);
     totals_.idle_energy += joules;
     if (residency_ != nullptr) {
       auto& res = (*residency_)[machine_->IndexOf(point)];
       res.idle_ms += dt;
       res.idle_energy += joules;
     }
-    if (sink_ != nullptr) {
-      sink_->OnSegment({start_ms, end_ms, CpuState::kIdle, -1, point});
+    if (trace_ != nullptr) {
+      trace_->AddSegment({start_ms, end_ms, CpuState::kIdle, -1, point});
     }
   }
 
   // Halted during a mandatory stop interval (§4.1): time passes, charged to
-  // switching_ms; energy is host-defined (the model host charges none).
+  // switching_ms; halted cycles draw ~no energy (§3.1), so none is charged.
   void RecordSwitchHalt(double start_ms, double end_ms,
                         const OperatingPoint& point) {
     RTDVS_PROF_SCOPE("engine/energy/record_switch_halt");
@@ -120,54 +118,19 @@ class EnergyAccountant {
       return;
     }
     totals_.switching_ms += dt;
-    OnSwitchHalt(start_ms, end_ms, point);
-    if (sink_ != nullptr) {
-      sink_->OnSegment({start_ms, end_ms, CpuState::kSwitching, -1, point});
+    if (trace_ != nullptr) {
+      trace_->AddSegment({start_ms, end_ms, CpuState::kSwitching, -1, point});
     }
   }
 
   const EngineTotals& totals() const { return totals_; }
 
- protected:
-  // Joules consumed executing `work` over [start, end) at `point`.
-  virtual double ExecutionJoules(double start_ms, double end_ms, double work,
-                                 const OperatingPoint& point) = 0;
-  // Joules consumed idling over [start, end) at `point`.
-  virtual double IdleJoules(double start_ms, double end_ms,
-                            const OperatingPoint& point) = 0;
-  // Side-effect hook for switch-halt intervals (e.g. metering halted watts).
-  // The default charges nothing: halted cycles draw ~no energy (§3.1).
-  virtual void OnSwitchHalt(double start_ms, double end_ms,
-                            const OperatingPoint& point);
-
- private:
-  EngineTotals totals_;
-  TraceSink* sink_ = nullptr;
-  const MachineSpec* machine_ = nullptr;
-  std::vector<PointResidency>* residency_ = nullptr;
-};
-
-// The simulation host's accountant: closed-form EnergyModel integration.
-// `final` (with inline hooks) so a host holding it by value pays no virtual
-// dispatch per segment.
-class ModelEnergyAccountant final : public EnergyAccountant {
- public:
-  explicit ModelEnergyAccountant(const EnergyModel& model) : model_(model) {}
-
- protected:
-  double ExecutionJoules(double start_ms, double end_ms, double work,
-                         const OperatingPoint& point) final {
-    (void)start_ms;
-    (void)end_ms;
-    return model_.ExecutionEnergy(work, point);
-  }
-  double IdleJoules(double start_ms, double end_ms,
-                    const OperatingPoint& point) final {
-    return model_.IdleEnergy(end_ms - start_ms, point);
-  }
-
  private:
   EnergyModel model_;
+  EngineTotals totals_;
+  Trace* trace_ = nullptr;
+  const MachineSpec* machine_ = nullptr;
+  std::vector<PointResidency>* residency_ = nullptr;
 };
 
 }  // namespace rtdvs

@@ -1,14 +1,8 @@
-// SpeedController implementations shared by the two production hosts,
-// lifted out of Simulator::Speed and Kernel::Speed:
-//
-//   * ModeledSpeedController — the simulation host. Validates requests
-//     against the MachineSpec, counts transitions, models the mandatory
-//     stop interval (§4.1) as a blocked-until timestamp, and emits
-//     kSpeedChange trace events.
-//   * DeviceSpeedController  — the implementation host. Forwards requests
-//     to a SpeedDevice (the PowerNow! register device in the kernel) and
-//     mirrors whatever point the hardware actually settled on; the device
-//     itself models its transition halt.
+// The simulation host's SpeedController: ModeledSpeedController validates
+// requests against the MachineSpec, counts transitions, models the
+// mandatory stop interval (§4.1) as a blocked-until timestamp, and records
+// kSpeedChange trace events. The kernel implements SpeedController itself
+// on its PowerNow! module (kernel.cc), whose device models its own halt.
 #ifndef SRC_ENGINE_SPEED_CONTROLLER_H_
 #define SRC_ENGINE_SPEED_CONTROLLER_H_
 
@@ -17,16 +11,16 @@
 #include "src/cpu/machine_spec.h"
 #include "src/cpu/operating_point.h"
 #include "src/dvs/policy.h"
-#include "src/engine/trace_sink.h"
+#include "src/engine/trace.h"
 
 namespace rtdvs {
 
 class ModeledSpeedController : public SpeedController {
  public:
   // `machine` and `now_ms` (the host's clock) must outlive the controller;
-  // `sink` may be null. Starts at the machine's maximum point.
+  // `trace` may be null. Starts at the machine's maximum point.
   ModeledSpeedController(const MachineSpec* machine, double switch_time_ms,
-                         const double* now_ms, TraceSink* sink);
+                         const double* now_ms, Trace* trace);
 
   // Validates the request exists on the machine, then applies it; a
   // same-point request is a no-op (no transition counted, no halt).
@@ -41,37 +35,10 @@ class ModeledSpeedController : public SpeedController {
   const MachineSpec* machine_;
   double switch_time_ms_;
   const double* now_ms_;
-  TraceSink* sink_;
+  Trace* trace_;
   OperatingPoint point_;
   double blocked_until_ = 0;
   int64_t switch_count_ = 0;
-};
-
-// Host-specific hardware behind DeviceSpeedController: applying a point may
-// round to the device's grid, halt the processor, or crash it — the
-// controller only reflects the resulting state.
-class SpeedDevice {
- public:
-  virtual ~SpeedDevice() = default;
-  virtual void Apply(double now_ms, const OperatingPoint& point) = 0;
-  virtual OperatingPoint Current() const = 0;
-};
-
-class DeviceSpeedController : public SpeedController {
- public:
-  // `device` and `now_ms` must outlive the controller.
-  DeviceSpeedController(SpeedDevice* device, const double* now_ms);
-
-  void SetOperatingPoint(const OperatingPoint& point) override;
-  const OperatingPoint& current() const override { return point_; }
-
-  // Re-reads the device state (e.g. after out-of-band /procfs writes).
-  void SyncFromDevice() { point_ = device_->Current(); }
-
- private:
-  SpeedDevice* device_;
-  const double* now_ms_;
-  OperatingPoint point_;
 };
 
 }  // namespace rtdvs

@@ -15,80 +15,43 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-// Bridges DvsPolicy speed requests to PowerNow! register writes: the
-// DeviceSpeedController (src/engine/speed_controller.h) calls Apply and then
-// mirrors whatever point the hardware settled on.
-class Kernel::PowerNowDevice : public SpeedDevice {
+// The kernel's SpeedController: programs the PowerNow! module, then mirrors
+// whatever point the hardware settled on (the device models its own
+// transition halt).
+class Kernel::PowerNowSpeed : public SpeedController {
  public:
-  explicit PowerNowDevice(Kernel* kernel) : kernel_(kernel) {}
+  explicit PowerNowSpeed(Kernel* kernel) : kernel_(kernel) { Mirror(); }
 
-  void Apply(double now_ms, const OperatingPoint& point) override {
-    bool ok = kernel_->powernow_->SetNormalizedPoint(now_ms, point);
+  void SetOperatingPoint(const OperatingPoint& point) override {
+    bool ok = kernel_->powernow_->SetNormalizedPoint(kernel_->now_ms_, point);
     RTDVS_CHECK(ok) << "policy requested frequency the PLL cannot produce: "
                     << point.ToString();
+    Mirror();
   }
-
-  OperatingPoint Current() const override {
-    return {kernel_->cpu_.frequency_mhz() / K6Cpu::kMaxRatedMhz,
-            kernel_->cpu_.voltage()};
-  }
+  const OperatingPoint& current() const override { return point_; }
 
  private:
+  void Mirror() {
+    point_ = {kernel_->cpu_.frequency_mhz() / K6Cpu::kMaxRatedMhz,
+              kernel_->cpu_.voltage()};
+  }
+
   Kernel* kernel_;
-};
-
-// The kernel's EnergyAccountant (src/engine/energy_accountant.h): meters
-// SystemPowerModel watts into the PowerMeter, Figure 15 style, while the
-// base class keeps the busy/idle/halt wall-clock partition and work totals.
-class Kernel::MeteredAccountant : public EnergyAccountant {
- public:
-  explicit MeteredAccountant(Kernel* kernel) : kernel_(kernel) {}
-
- protected:
-  double ExecutionJoules(double start_ms, double end_ms, double work,
-                         const OperatingPoint& point) override {
-    (void)work;
-    (void)point;
-    // Watts from the live hardware registers, not the normalized point: a
-    // round-trip through MachineSpec would perturb the metered value.
-    const double watts = kernel_->options_.power.ActiveWatts(
-        kernel_->cpu_.frequency_mhz(), kernel_->cpu_.voltage());
-    kernel_->meter_.Accumulate(start_ms, end_ms, watts);
-    return watts * (end_ms - start_ms) / 1000.0;
-  }
-
-  double IdleJoules(double start_ms, double end_ms,
-                    const OperatingPoint& point) override {
-    (void)point;
-    const double watts = kernel_->options_.power.HaltedWatts();
-    kernel_->meter_.Accumulate(start_ms, end_ms, watts);
-    return watts * (end_ms - start_ms) / 1000.0;
-  }
-
-  void OnSwitchHalt(double start_ms, double end_ms,
-                    const OperatingPoint& point) override {
-    (void)point;
-    kernel_->meter_.Accumulate(start_ms, end_ms,
-                               kernel_->options_.power.HaltedWatts());
-  }
-
- private:
-  Kernel* kernel_;
+  OperatingPoint point_;
 };
 
 Kernel::Kernel(KernelOptions options)
     : options_(options),
       scheduler_(MakeScheduler(SchedulerKind::kEdf)),
-      machine_(PowerNowModule::ExportedMachineSpec()) {
+      machine_(PowerNowModule::ExportedMachineSpec()),
+      accountant_(EnergyModel()) {
   if (options_.ideal_transitions) {
     cpu_.set_allow_zero_sgtc(true);
   }
   powernow_ = std::make_unique<PowerNowModule>(&cpu_, &procfs_);
   powernow_->set_procfs_clock(&now_ms_);
   powernow_->set_ideal_transitions(options_.ideal_transitions);
-  device_ = std::make_unique<PowerNowDevice>(this);
-  speed_ = std::make_unique<DeviceSpeedController>(device_.get(), &now_ms_);
-  accountant_ = std::make_unique<MeteredAccountant>(this);
+  speed_ = std::make_unique<PowerNowSpeed>(this);
   context_builder_.Bind(&snapshot_, &machine_);
   ready_.BindScheduler(scheduler_.get());
   procfs_.RegisterFile(
@@ -230,7 +193,7 @@ std::optional<double> Kernel::FirstReleaseMs(int handle) const {
 
 void Kernel::BuildContext() {
   context_builder_.Build(
-      now_ms_, jobs_, accountant_->totals(),
+      now_ms_, jobs_, accountant_.totals(),
       [this](int id) {
         const KernelTask& task = tasks_[static_cast<size_t>(id)];
         return ContextBuilder::TaskSnapshot{task.next_release_ms,
@@ -310,25 +273,33 @@ void Kernel::RunUntil(double t_ms) {
     t_next = std::max(t_next, now_ms_);
     t_next = std::min(t_next, t_ms);
 
-    // Integrate power over [now_ms_, t_next) through the shared accountant
-    // (the MeteredAccountant reads watts off the live cpu_ registers).
+    // Integrate [now_ms_, t_next): the accountant keeps the wall-clock
+    // partition and the work, the meter takes SystemPowerModel watts. Active
+    // watts come off the live cpu_ registers, not the normalized point: a
+    // round-trip through MachineSpec would perturb the metered value.
     const OperatingPoint point = speed_->current();
+    const double halted_watts = options_.power.HaltedWatts();
     if (running != Scheduler::kNone) {
       exec_start = std::min(std::max(exec_start, now_ms_), t_next);
       // Halted in a mandatory stop interval.
-      accountant_->RecordSwitchHalt(now_ms_, exec_start, point);
+      accountant_.RecordSwitchHalt(now_ms_, exec_start, point);
+      meter_.Accumulate(now_ms_, exec_start, halted_watts);
       if (t_next > exec_start) {
         Job& job = jobs_[running];
         double work = std::min((t_next - exec_start) * f_norm,
                                job.RemainingActualWork());
         job.executed_work += work;
         tasks_[static_cast<size_t>(job.task_id)].cumulative_executed += work;
-        accountant_->RecordExecution(exec_start, t_next, work, job.task_id, point);
+        accountant_.RecordExecution(exec_start, t_next, work, job.task_id, point);
+        meter_.Accumulate(exec_start, t_next,
+                          options_.power.ActiveWatts(cpu_.frequency_mhz(),
+                                                     cpu_.voltage()));
       }
     } else if (t_next > now_ms_) {
       // A transition can overlap an idle window; the prototype halts either
       // way, so the whole span is charged as idle at halted watts.
-      accountant_->RecordIdle(now_ms_, t_next, point);
+      accountant_.RecordIdle(now_ms_, t_next, point);
+      meter_.Accumulate(now_ms_, t_next, halted_watts);
     }
     now_ms_ = t_next;
     if (now_ms_ >= t_ms - kTimeEpsMs) {
@@ -393,7 +364,7 @@ KernelReport Kernel::Report() const {
   report.voltage_transitions = powernow_->voltage_transitions();
   report.frequency_transitions = powernow_->frequency_only_transitions();
   report.cpu_crashed = cpu_.crashed();
-  const EngineTotals& totals = accountant_->totals();
+  const EngineTotals& totals = accountant_.totals();
   report.busy_ms = totals.busy_ms;
   report.idle_ms = totals.idle_ms;
   report.transition_halt_ms = totals.switching_ms;

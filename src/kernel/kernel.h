@@ -9,7 +9,8 @@
 //   * the PowerNow! module driving the register-level K6-2+ device with
 //     its mandatory stop intervals,
 //   * a /procfs interface for tasks, policy and stats, and
-//   * the measurement rig of Figure 15 (system power into a PowerMeter).
+//   * the measurement rig of Figure 15: RunUntil meters SystemPowerModel
+//     watts, read off the live CPU registers, into a PowerMeter.
 //
 // This is the paper's "implementation" substrate; src/sim is its
 // "simulation" substrate. bench_fig16/17 validate one against the other the
@@ -27,7 +28,6 @@
 #include "src/engine/context_builder.h"
 #include "src/engine/energy_accountant.h"
 #include "src/engine/ready_queue.h"
-#include "src/engine/speed_controller.h"
 #include "src/kernel/powernow_module.h"
 #include "src/kernel/procfs.h"
 #include "src/platform/k6_cpu.h"
@@ -123,10 +123,8 @@ class Kernel {
   const PowerMeter& power_meter() const { return meter_; }
 
  private:
-  // SpeedDevice bridging DeviceSpeedController to the PowerNow module.
-  class PowerNowDevice;
-  // EnergyAccountant metering SystemPowerModel watts into the PowerMeter.
-  class MeteredAccountant;
+  // SpeedController that programs the PowerNow module.
+  class PowerNowSpeed;
 
   struct KernelTask {
     int handle = -1;
@@ -162,15 +160,14 @@ class Kernel {
   std::vector<Job> jobs_;           // Job::task_id holds the DENSE index
   PolicyContext ctx_;
 
-  // Engine components (src/engine/) composed on the kernel's hardware; the
-  // simulator composes the same ContextBuilder / EnergyAccountant /
-  // SpeedController seams on modeled state.
+  // The simulator's engine components (src/engine/) on the kernel's
+  // hardware. The accountant keeps the busy/idle/halt partition and the
+  // work; the energy is metered into meter_ beside each of its segments.
   MachineSpec machine_;             // = PowerNowModule::ExportedMachineSpec()
   ContextBuilder context_builder_;
   ReadyQueue ready_;
-  std::unique_ptr<SpeedDevice> device_;
-  std::unique_ptr<DeviceSpeedController> speed_;
-  std::unique_ptr<EnergyAccountant> accountant_;
+  std::unique_ptr<PowerNowSpeed> speed_;
+  ModelEnergyAccountant accountant_;  // wall-clock partition and work only
 
   std::optional<double> wakeup_ms_;
   Pcg32 rng_{0x6b65726e656cULL};  // feeds the per-task execution-time models

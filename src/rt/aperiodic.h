@@ -128,7 +128,6 @@ class AperiodicServerState {
   // Exhaustion rule: replenish the budget and postpone the deadline by one
   // period. Returns the new deadline.
   double CbsPostpone();
-  double cbs_deadline() const { return cbs_deadline_ms_; }
 
   const AperiodicStats& stats() const { return stats_; }
   // Folds the current backlog into the stats (call once, at the horizon).

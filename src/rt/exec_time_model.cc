@@ -102,11 +102,6 @@ std::string PerTaskModel::name() const {
   return out + ")";
 }
 
-void PerTaskModel::set_fallback(std::unique_ptr<ExecTimeModel> fallback) {
-  RTDVS_CHECK(fallback != nullptr);
-  fallback_ = std::move(fallback);
-}
-
 std::optional<double> PerTaskModel::constant_fraction() const {
   // Constant only when every delegate agrees on one value (the common case
   // is scenario files giving every task const(1)).

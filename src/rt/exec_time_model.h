@@ -106,12 +106,10 @@ class PerTaskModel : public ExecTimeModel {
   // value.
   std::optional<double> constant_fraction() const override;
 
-  // Tasks beyond the configured list (e.g. an auto-appended server task)
-  // fall back to this; the default is "always worst case".
-  void set_fallback(std::unique_ptr<ExecTimeModel> fallback);
-
  private:
   std::vector<std::unique_ptr<ExecTimeModel>> models_;
+  // Tasks beyond the configured list (e.g. an auto-appended server task)
+  // always take their worst case.
   std::unique_ptr<ExecTimeModel> fallback_;
 };
 

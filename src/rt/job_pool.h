@@ -45,8 +45,6 @@ class JobPool {
     }
   }
 
-  size_t pooled_capacity() const { return spare_.capacity(); }
-
  private:
   std::vector<Job> spare_;
 };

@@ -117,18 +117,15 @@ void RunSingleCore(const SimRequest& request, DvsPolicy* policy,
   out->partition.core_utilization = {request.tasks.TotalUtilization()};
   out->partition.core_task_count = {request.tasks.size()};
   out->partition.cores_used = 1;
-  out->core_tasks = {request.tasks};
+  // The simulated set may have grown a server task; the core's tasks, ids
+  // and cluster stats cover it.
+  out->core_tasks = {SimulatedTaskSet(request.tasks, request.options)};
   out->core_global_ids.resize(1);
-  for (int id = 0; id < request.tasks.size(); ++id) {
+  for (int id = 0; id < out->core_tasks[0].size(); ++id) {
     out->core_global_ids[0].push_back(id);
   }
   out->cores[0] = RunSimulation(request.tasks, request.cluster.machine, *policy,
                                 exec_model, request.options);
-  // The simulated set may have grown a server task; size the cluster stats
-  // to what the core actually reported.
-  if (out->cores[0].server_task_id >= 0) {
-    out->core_global_ids[0].push_back(request.tasks.size());
-  }
   InitClusterResult(static_cast<int>(out->cores[0].task_stats.size()),
                     request.cluster.machine, request.options, &out->cluster);
   AccumulateSlice(out->cores[0], out->core_global_ids[0], &out->cluster);

@@ -85,9 +85,10 @@ struct MpSimResult {
   PartitionResult partition;
 
   std::vector<SimResult> cores;  // per-core slices, size num_cores
-  // The task set each core simulated, with LOCAL ids (partitioned mode;
-  // empty sets for powered-down cores, all tasks on every entry's core).
-  // In global mode every core shares the request's task set.
+  // The task set each core simulated, with LOCAL ids. Partitioned mode:
+  // each core's sub-set (empty for powered-down cores). Global mode: the
+  // request's set on every core. M = 1: the request's set plus, when one is
+  // configured, the aperiodic server task (SimulatedTaskSet).
   std::vector<TaskSet> core_tasks;
   // Global ids of each core's tasks: core_global_ids[c][local] = global id.
   std::vector<std::vector<int>> core_global_ids;

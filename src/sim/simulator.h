@@ -35,8 +35,8 @@
 // release and completion in core order, and each core's OnIdle fires ahead
 // of a segment of positive length that it spends without a job.
 //
-// The kernel (src/kernel/) composes the same ContextBuilder /
-// EnergyAccountant / SpeedController seams on its register-level hardware.
+// The kernel (src/kernel/) runs the same ContextBuilder, ReadyQueue and
+// ModelEnergyAccountant on its register-level hardware.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -55,7 +55,6 @@
 #include "src/engine/energy_accountant.h"
 #include "src/engine/ready_queue.h"
 #include "src/engine/speed_controller.h"
-#include "src/engine/trace_sink.h"
 #include "src/rt/aperiodic.h"
 #include "src/rt/exec_time_model.h"
 #include "src/rt/job.h"
@@ -145,13 +144,12 @@ class Simulator {
     double last_actual_work = 0;  // defaults to C_i
   };
 
-  // What each core owns. At M = 1 the accountant and the trace sink write
-  // into the run's result; at M > 1 into the core's slice.
+  // What each core owns. At M = 1 the accountant and the speed controller
+  // write into the run's result and trace; at M > 1 into the core's slice.
   struct Core {
     Core(DvsPolicy* p, const EnergyModel& energy) : policy(p), accountant(energy) {}
     DvsPolicy* policy;
     ModelEnergyAccountant accountant;
-    std::optional<TraceRecorderSink> sink;
     std::optional<ModeledSpeedController> speed;
     // The policy's latest NextWakeupMs answer (timer-driven policies only).
     std::optional<double> pending_wakeup;
@@ -316,8 +314,8 @@ class Simulator {
   // across steps that skip the callback block until the next build
   // consumes them.
   DirtyTasks dirty_;
-  // One entry per core; sized once by the constructor (slices and sinks
-  // hold pointers into it).
+  // One entry per core; sized once by the constructor (each core's
+  // accountant and speed controller hold pointers into its slice).
   std::vector<Core> cores_;
   // Some core's policy is timer-driven.
   bool any_timer_driven_ = false;
@@ -340,6 +338,10 @@ class Simulator {
   double now_ = 0;
   bool ran_ = false;
 };
+
+// The task set a run simulates: `tasks`, plus the aperiodic server task
+// appended last when `options` configure a server.
+TaskSet SimulatedTaskSet(TaskSet tasks, const SimOptions& options);
 
 // Convenience wrapper: one single-core Simulator run. The M = 1 cluster
 // (src/sim/mp_simulator.h) runs its core through it.

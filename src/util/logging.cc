@@ -52,8 +52,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_min_level.store(static_cast<int>(level)); }
-
 LogLevel GetLogLevel() {
   int level = g_min_level.load();
   if (level == kUninitialized) {

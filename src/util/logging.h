@@ -1,10 +1,9 @@
 // Minimal leveled logging to stderr.
 //
 // The simulator is a library first; logging defaults to kWarning so that
-// benches and tests stay quiet unless something is wrong. Examples raise the
-// level to kInfo for narrative output. The RTDVS_LOG environment variable
-// (debug|info|warn|error, or 0-3) overrides the default without recompiling;
-// SetLogLevel() wins over the environment.
+// benches and tests stay quiet unless something is wrong. The RTDVS_LOG
+// environment variable (debug|info|warn|error, or 0-3) overrides the default
+// without recompiling.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
@@ -21,7 +20,6 @@ enum class LogLevel : int {
 };
 
 // Process-wide minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 namespace internal {

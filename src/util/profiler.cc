@@ -96,14 +96,6 @@ JsonValue ProfileSnapshot::ToJson() const {
   return out;
 }
 
-void ProfileSnapshot::ToRegistry(MetricsRegistry* registry) const {
-  for (const auto& [name, s] : spans) {
-    registry->Increment("profile/" + name + "/count", s.count);
-    registry->GetHistogram("profile/" + name + "/ms", SpanBounds())
-        ->MergeFrom(s.hist);
-  }
-}
-
 void Profiler::SpanStart(const char* name) {
   Log().stack.push_back(Frame{name, Clock::now(), 0.0});
 }

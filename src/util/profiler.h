@@ -18,8 +18,8 @@
 //   * Profiler::Drain() (main thread, after the pool joined) returns the
 //     accumulated snapshot and clears it for the next run.
 //
-// Aggregation is by span name into the MetricsRegistry Histogram type
-// (shared exponential bucket layout, so snapshots merge exactly). Span
+// Aggregation is by span name into a Histogram (src/util/histogram.h;
+// shared exponential bucket layout, so snapshots merge exactly). Span
 // names are expected to be string literals: the thread-local fast path is
 // keyed by the literal's address, and equal names from different call
 // sites merge at flush time.
@@ -37,7 +37,7 @@
 #include <map>
 #include <string>
 
-#include "src/util/metrics_registry.h"
+#include "src/util/histogram.h"
 
 namespace rtdvs {
 
@@ -68,9 +68,6 @@ struct ProfileSnapshot {
   //  max_ms}, ...} — name-ordered, hence byte-stable apart from the timing
   // values themselves.
   JsonValue ToJson() const;
-  // Folds every span into `registry` as counter "profile/<name>/count" and
-  // histogram "profile/<name>/ms".
-  void ToRegistry(MetricsRegistry* registry) const;
 };
 
 class Profiler {

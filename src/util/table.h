@@ -36,8 +36,6 @@ class TextTable {
   // lose the bench's intended precision. Used by the bench --json emitters.
   JsonValue ToJson() const;
 
-  size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -22,13 +22,6 @@ inline bool ApproxEq(double a, double b, double eps = kTimeEpsMs) {
   return std::fabs(a - b) <= eps;
 }
 inline bool ApproxLe(double a, double b, double eps = kTimeEpsMs) { return a <= b + eps; }
-inline bool ApproxGe(double a, double b, double eps = kTimeEpsMs) { return a + eps >= b; }
-inline bool ApproxLt(double a, double b, double eps = kTimeEpsMs) { return a < b - eps; }
-inline bool ApproxGt(double a, double b, double eps = kTimeEpsMs) { return a > b + eps; }
-
-// Clamps tiny negative values (rounding residue) to zero; aborts on values
-// that are genuinely negative, which would indicate an accounting bug.
-double ClampTinyNegative(double value, double eps = kWorkEps);
 
 }  // namespace rtdvs
 

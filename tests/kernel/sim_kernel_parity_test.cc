@@ -1,7 +1,8 @@
 // Cross-substrate parity: the Table 2/3 worked example run through both the
 // event-driven Simulator (src/sim) and the prototype Kernel (src/kernel)
-// must agree, policy by policy, now that both hosts compose the same engine
-// components (ContextBuilder / EnergyAccountant / SpeedController).
+// must agree, policy by policy: both hosts run the same engine components
+// (ContextBuilder / ReadyQueue / ModelEnergyAccountant), the kernel meters
+// its own watts and drives PowerNow! through its own SpeedController.
 //
 // Calibration that makes the two substrates directly comparable:
 //   * machine: the kernel's exported K6-2+ spec on the sim side, so both

@@ -345,6 +345,47 @@ TEST(TraceExportMp, PoweredDownCoreExportsEmptyOffGroup) {
   EXPECT_EQ(core1_name, "core 1: off");
 }
 
+// M = 1 with a polling server: the core simulated the request's two tasks
+// plus the server task, so the export names a third task track for it and
+// its execution slices land there.
+TEST(TraceExportMp, SingleCoreServerRunNamesTheServerTrack) {
+  SimRequest request = MpRequest(MpMode::kPartitioned);
+  std::vector<Task> tasks = {{"A", 10.0, 3.0, 0.0}, {"B", 20.0, 4.0, 0.0}};
+  request.tasks = TaskSet(tasks);
+  request.cluster.num_cores = 1;
+  request.options.aperiodic.kind = ServerKind::kPolling;
+  request.options.aperiodic.period_ms = 10.0;
+  request.options.aperiodic.budget_ms = 2.0;
+  request.options.aperiodic.arrivals.fixed_arrivals = {
+      {5.0, 1.5, 1.5, false, 0.0}, {31.0, 1.0, 1.0, false, 0.0}};
+  ConstantFractionModel model(0.7);
+  MpSimResult result = RunClusterSimulation(request, model);
+  ASSERT_TRUE(result.admitted);
+  ASSERT_EQ(result.cores[0].server_task_id, 2);
+  ASSERT_EQ(result.core_tasks[0].size(), 3);
+  EXPECT_EQ(result.core_global_ids[0], (std::vector<int>{0, 1, 2}));
+
+  JsonValue doc = ExportChromeTraceMp(result, request.tasks, request.options);
+  const JsonValue& events = doc.Get("traceEvents");
+  std::vector<std::string> thread_names;
+  int server_slices = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const JsonValue& event = events.at(i);
+    if (event.Get("ph").AsString() == "M" &&
+        event.Get("name").AsString() == "thread_name") {
+      thread_names.push_back(event.Get("args").Get("name").AsString());
+    }
+    if (event.Get("ph").AsString() == "X" && event.Get("tid").AsInt() == 3) {
+      EXPECT_EQ(event.Get("name").AsString(), "server");
+      ++server_slices;
+    }
+  }
+  EXPECT_EQ(thread_names, (std::vector<std::string>{
+                              "cpu (idle/switch)", "A (C=3 T=10)",
+                              "B (C=4 T=20)", "server (C=2 T=10)"}));
+  EXPECT_GT(server_slices, 0);
+}
+
 TEST(TraceExportMp, InfeasibleResultExportsMetadataOnly) {
   SimRequest request = MpRequest(MpMode::kPartitioned);
   std::vector<Task> heavy = {{"A", 10.0, 7.0, 0.0},

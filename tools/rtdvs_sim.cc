@@ -32,17 +32,6 @@
 namespace rtdvs {
 namespace {
 
-// The task set the simulator actually ran: the scenario's tasks plus the
-// aperiodic server task when one is configured.
-TaskSet SimulatedTaskSet(const Scenario& scenario, const SimResult& result) {
-  TaskSet tasks = scenario.tasks;
-  if (result.server_task_id >= 0) {
-    tasks.AddTask({"server", scenario.server.period_ms,
-                   scenario.server.budget_ms, 0.0});
-  }
-  return tasks;
-}
-
 // "trace.json" + "cc_edf" -> "trace.cc_edf.json", so --all-policies writes
 // one Chrome trace per policy instead of overwriting a single file.
 std::string InsertPolicyIntoPath(const std::string& path, const std::string& id) {
@@ -54,7 +43,8 @@ std::string InsertPolicyIntoPath(const std::string& path, const std::string& id)
   return path.substr(0, dot) + "." + id + path.substr(dot);
 }
 
-void PrintResult(const SimResult& result, const Scenario& scenario, double gantt_ms) {
+// `tasks` is the set the run simulated (MpSimResult::core_tasks[0]).
+void PrintResult(const SimResult& result, const TaskSet& tasks, double gantt_ms) {
   std::printf("%s\n", result.Summary().c_str());
   if (result.audit.audited) {
     std::printf("  %s\n", result.audit.Summary().c_str());
@@ -92,9 +82,7 @@ void PrintResult(const SimResult& result, const Scenario& scenario, double gantt
     }
   }
   if (gantt_ms > 0) {
-    std::printf("%s", result.trace.RenderGantt(SimulatedTaskSet(scenario, result),
-                                               76, gantt_ms)
-                          .c_str());
+    std::printf("%s", result.trace.RenderGantt(tasks, 76, gantt_ms).c_str());
   }
 }
 
@@ -342,7 +330,7 @@ int Main(int argc, char** argv) {
     // RunSimulation result).
     bool truncated;
     if (num_cores == 1) {
-      PrintResult(result.cores[0], scenario, gantt_ms);
+      PrintResult(result.cores[0], result.core_tasks[0], gantt_ms);
       truncated = result.cores[0].trace.truncated();
     } else {
       PrintMpResult(result, request.partition, gantt_ms);
@@ -374,8 +362,7 @@ int Main(int argc, char** argv) {
                                    : trace_out;
       const bool ok =
           num_cores == 1
-              ? WriteChromeTrace(result.cores[0],
-                                 SimulatedTaskSet(scenario, result.cores[0]),
+              ? WriteChromeTrace(result.cores[0], result.core_tasks[0],
                                  options, path)
               : WriteChromeTraceMp(result, request.tasks, options, path);
       if (ok) {
