@@ -11,10 +11,11 @@
 // added since then. The order is total (EDF and RM break ties by task id,
 // then release) and a job's key never changes, so while jobs are only
 // added, the best job is the better of the previous best and the new ones.
+// PickTopK is the global multi-core pick: one pass keeping the best k jobs,
+// one per task, in a buffer of k, with no sort and no allocation.
 #ifndef SRC_ENGINE_READY_QUEUE_H_
 #define SRC_ENGINE_READY_QUEUE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -122,39 +123,56 @@ class ReadyQueue {
   // Global-mode selection (multiprocessor cluster, src/sim/mp_simulator.h):
   // up to `k` highest-priority runnable jobs in priority order, at most one
   // job per task — a task's backlogged invocations never run in parallel.
-  // `higher` is the priority order, as for PickTrackedSince; task ids are
-  // below `num_tasks`. Deterministic: ties resolve by the total order
-  // (EDF/RM both break ties by task id then release), and the stable sort
-  // preserves creation order beyond that. Returns indices into `jobs`, as a
+  // `higher` is the priority order, as for PickTrackedSince. The result is
+  // exactly "stable-sort the runnable jobs by priority, then take the first
+  // job of each task not yet taken", ties included, selected in one pass
+  // without sorting or allocating: a buffer of at most k picks stays in
+  // priority order, and each job in creation order either replaces its
+  // task's pick (only if strictly higher), or enters ahead of the first pick
+  // it beats (when the buffer is full, only if it beats the last one, which
+  // it then evicts). The last pick only ever improves, so a job that cannot
+  // enter could not have been picked. O(jobs x k), one comparison per job
+  // that does not enter a full buffer. Returns indices into `jobs`, as a
   // reference to member scratch valid until the next PickTopK call on this
   // queue.
   template <typename HigherPri>
-  const std::vector<size_t>& PickTopK(const std::vector<Job>& jobs,
-                                      size_t num_tasks, size_t k,
+  const std::vector<size_t>& PickTopK(const std::vector<Job>& jobs, size_t k,
                                       const HigherPri& higher) {
     RTDVS_PROF_SCOPE("engine/ready_queue/pick_top_k");
-    ready_scratch_.clear();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (!jobs[i].finished && !jobs[i].suspended) {
-        ready_scratch_.push_back(i);
-      }
+    std::vector<size_t>& picked = picked_scratch_;
+    picked.clear();
+    if (k == 0) {
+      return picked;
     }
-    std::stable_sort(ready_scratch_.begin(), ready_scratch_.end(),
-                     [&](size_t a, size_t b) { return higher(jobs[a], jobs[b]); });
-    picked_scratch_.clear();
-    claimed_scratch_.assign(num_tasks, 0);
-    for (size_t index : ready_scratch_) {
-      if (picked_scratch_.size() >= k) {
-        break;
-      }
-      auto task = static_cast<size_t>(jobs[index].task_id);
-      if (claimed_scratch_[task]) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      const Job& job = jobs[i];
+      if (job.finished || job.suspended) {
         continue;
       }
-      claimed_scratch_[task] = 1;
-      picked_scratch_.push_back(index);
+      const bool full = picked.size() == k;
+      if (full && !higher(job, jobs[picked.back()])) {
+        // Below the last pick, hence below every pick, its task's included.
+        continue;
+      }
+      size_t slot = 0;
+      while (slot < picked.size() && jobs[picked[slot]].task_id != job.task_id) {
+        ++slot;
+      }
+      if (slot < picked.size()) {
+        if (!higher(job, jobs[picked[slot]])) {
+          continue;
+        }
+        picked.erase(picked.begin() + static_cast<std::ptrdiff_t>(slot));
+      } else if (full) {
+        picked.pop_back();
+      }
+      size_t pos = 0;
+      while (pos < picked.size() && !higher(job, jobs[picked[pos]])) {
+        ++pos;
+      }
+      picked.insert(picked.begin() + static_cast<std::ptrdiff_t>(pos), i);
     }
-    return picked_scratch_;
+    return picked;
   }
 
   // Forgets the previously picked invocation (call before a fresh run).
@@ -167,10 +185,8 @@ class ReadyQueue {
   const Scheduler* scheduler_ = nullptr;
   int previous_task_ = -1;
   int64_t previous_invocation_ = -1;
-  // PickTopK scratch (see its doc comment).
-  std::vector<size_t> ready_scratch_;
+  // PickTopK's result (see its doc comment).
   std::vector<size_t> picked_scratch_;
-  std::vector<char> claimed_scratch_;
 };
 
 }  // namespace rtdvs
