@@ -159,6 +159,8 @@ class Pair {
     ExpectSame();
   }
 
+  const OperatingPoint& kept_point() const { return kept_speed_.current(); }
+
  private:
   void ExpectSame() {
     ASSERT_EQ(kept_speed_.requests.size(), sorted_speed_.requests.size());
@@ -251,6 +253,34 @@ TEST(LaEdfOrderTest, InfiniteDeadlines) {
   ctx.views[1].next_deadline_ms = kInf;
   ctx.views[1].cumulative_executed = 1.0;
   pair.Deliver(Pair::Call::kCompletion, 1, ctx);
+}
+
+TEST(LaEdfOrderTest, IdleServerOverAnExactlyFullPeriodicLoad) {
+  // The periodic utilizations sum to exactly 1 (all four are exact in
+  // binary), so the idle server S (+inf deadline, no work left), first in
+  // the pass, meets 1 - U == 0 and its step computes 0 x inf = NaN. laEDF
+  // must take that step as the reference does, not skip it like a finished
+  // task: the pass carries the NaN to the maximum point. After C completes
+  // early, its own finished step follows the NaN and must change nothing.
+  const MachineSpec machine = MachineSpec::Machine0();
+  const TaskSet tasks({{"A", 4.0, 1.0, 0.0},
+                       {"B", 8.0, 4.0, 0.0},
+                       {"C", 16.0, 4.0, 0.0},
+                       {"S", 8.0, 2.0, 0.0}});
+  Pair pair(&machine);
+  PolicyContext ctx = MakeContext(&tasks, &machine, {0.0, 0.0, 0.0, kInf});
+  pair.Deliver(Pair::Call::kStart, -1, ctx);
+  for (int id = 0; id < 3; ++id) {
+    Activate(&ctx, id, tasks.task(id).period_ms, tasks.task(id).wcet_ms);
+    pair.Deliver(Pair::Call::kRelease, id, ctx);
+  }
+  EXPECT_TRUE(pair.kept_point() == machine.max_point());
+  ctx.now_ms = 1.0;
+  ctx.views[2].has_active_job = false;
+  ctx.views[2].cumulative_executed = 1.0;
+  ctx.views[2].worst_case_remaining = 0.0;
+  pair.Deliver(Pair::Call::kCompletion, 2, ctx);
+  EXPECT_TRUE(pair.kept_point() == machine.max_point());
 }
 
 TEST(LaEdfOrderTest, RandomCallbacksWithSeveralDeadlinesMoving) {
