@@ -101,6 +101,38 @@ TEST(MpDifferentialTest, InjectedFaultIsDetectedOnClusters) {
          "pipeline cannot be trusted to detect real bugs";
 }
 
+TEST(MpDifferentialTest, InjectedFaultsAreDetectedInGlobalMode) {
+  // The same self-test on the global engine, once per fault knob.
+  FuzzCase idle_case = ClusterCase("cc_edf", 2, MpMode::kGlobal,
+                                   PartitionHeuristic::kFirstFit);
+  idle_case.switch_time_ms = 0.5;
+  idle_case.exec_spec = "u:0,1";
+  ReferenceFaults idle_fault;
+  idle_fault.idle_path_switch_bug = true;
+  MpDifferentialRun clean = RunMpDifferentialCase(idle_case);
+  ASSERT_TRUE(clean.agreed) << DescribeDiffs(clean.diffs);
+  EXPECT_FALSE(RunMpDifferentialCase(idle_case, idle_fault).agreed)
+      << "idle_path_switch_bug went undetected; repro: "
+      << FuzzCaseToRepro(idle_case);
+
+  // Two tasks with C == P under worst-case demand, one per core: every
+  // completion lands exactly on its deadline.
+  FuzzCase miss_case = ClusterCase("edf", 2, MpMode::kGlobal,
+                                   PartitionHeuristic::kFirstFit);
+  miss_case.tasks = {{"", 10.0, 10.0, 0.0}, {"", 15.0, 15.0, 0.0}};
+  miss_case.exec_spec = "c:1";
+  ReferenceFaults miss_fault;
+  miss_fault.miss_before_completion_bug = true;
+  clean = RunMpDifferentialCase(miss_case);
+  ASSERT_TRUE(clean.agreed) << DescribeDiffs(clean.diffs);
+  EXPECT_EQ(clean.reference.cluster.deadline_misses, 0);
+  MpDifferentialRun faulty = RunMpDifferentialCase(miss_case, miss_fault);
+  EXPECT_FALSE(faulty.agreed)
+      << "miss_before_completion_bug went undetected; repro: "
+      << FuzzCaseToRepro(miss_case);
+  EXPECT_GT(faulty.reference.cluster.deadline_misses, 0);
+}
+
 // The Issue 6 acceptance campaign: 120 generated trials across 2- and
 // 4-core clusters (both modes, all heuristics, all paper policies), zero
 // divergences, every failure reported with its repro string.
