@@ -26,55 +26,60 @@ void DvsPolicy::OnIdle(const PolicyContext& ctx, SpeedController& speed) {
   }
 }
 
-bool IsValidPolicyId(const std::string& id) {
-  for (const char* valid : {"edf", "rm", "static_edf", "static_rm", "static_rm_exact",
-                            "cc_edf", "cc_rm", "la_edf", "interval", "stat_edf"}) {
-    if (id == valid) {
-      return true;
-    }
-  }
-  return false;
+namespace {
+
+// A factory for policy P constructed from the arguments kArgs.
+template <typename P, auto... kArgs>
+std::unique_ptr<DvsPolicy> Make() {
+  return std::make_unique<P>(kArgs...);
 }
 
-std::unique_ptr<DvsPolicy> MakePolicy(const std::string& id) {
-  if (id == "edf") {
-    return std::make_unique<NoDvsPolicy>(SchedulerKind::kEdf);
-  }
-  if (id == "rm") {
-    return std::make_unique<NoDvsPolicy>(SchedulerKind::kRm);
-  }
-  if (id == "static_edf") {
-    return std::make_unique<StaticScalingPolicy>(SchedulerKind::kEdf);
-  }
-  if (id == "static_rm") {
-    return std::make_unique<StaticScalingPolicy>(SchedulerKind::kRm);
-  }
-  if (id == "static_rm_exact") {
+struct PolicyFactoryEntry {
+  const char* id;
+  std::unique_ptr<DvsPolicy> (*make)();
+};
+
+// Every id MakePolicy accepts, in the order its error message lists them.
+constexpr PolicyFactoryEntry kPolicyFactories[] = {
+    {"edf", Make<NoDvsPolicy, SchedulerKind::kEdf>},
+    {"rm", Make<NoDvsPolicy, SchedulerKind::kRm>},
+    {"static_edf", Make<StaticScalingPolicy, SchedulerKind::kEdf>},
+    {"static_rm", Make<StaticScalingPolicy, SchedulerKind::kRm>},
     // Ablation: exact response-time analysis instead of the paper's
     // sufficient ceiling test.
-    return std::make_unique<StaticScalingPolicy>(SchedulerKind::kRm,
-                                                 /*exact_rm=*/true);
-  }
-  if (id == "cc_edf") {
-    return std::make_unique<CcEdfPolicy>();
-  }
-  if (id == "cc_rm") {
-    return std::make_unique<CcRmPolicy>();
-  }
-  if (id == "la_edf") {
-    return std::make_unique<LaEdfPolicy>();
-  }
-  if (id == "interval") {
-    return std::make_unique<IntervalPolicy>(IntervalPolicyOptions{});
-  }
-  if (id == "stat_edf") {
+    {"static_rm_exact", Make<StaticScalingPolicy, SchedulerKind::kRm, true>},
+    {"cc_edf", Make<CcEdfPolicy>},
+    {"cc_rm", Make<CcRmPolicy>},
+    {"la_edf", Make<LaEdfPolicy>},
+    {"interval", Make<IntervalPolicy, IntervalPolicyOptions{}>},
     // §6 future-work extension: soft deadlines, default 95th percentile.
-    return std::make_unique<StatEdfPolicy>(StatEdfOptions{});
+    {"stat_edf", Make<StatEdfPolicy, StatEdfOptions{}>},
+};
+
+const PolicyFactoryEntry* FindPolicyFactory(const std::string& id) {
+  for (const PolicyFactoryEntry& entry : kPolicyFactories) {
+    if (id == entry.id) {
+      return &entry;
+    }
   }
-  RTDVS_CHECK(false) << "unknown policy id '" << id
-                     << "'; expected edf|rm|static_edf|static_rm|static_rm_exact|"
-                        "cc_edf|cc_rm|la_edf|interval|stat_edf";
   return nullptr;
+}
+
+}  // namespace
+
+bool IsValidPolicyId(const std::string& id) { return FindPolicyFactory(id) != nullptr; }
+
+std::unique_ptr<DvsPolicy> MakePolicy(const std::string& id) {
+  const PolicyFactoryEntry* entry = FindPolicyFactory(id);
+  if (entry == nullptr) {
+    std::string expected;
+    for (const PolicyFactoryEntry& e : kPolicyFactories) {
+      expected += expected.empty() ? e.id : std::string("|") + e.id;
+    }
+    RTDVS_CHECK(false) << "unknown policy id '" << id << "'; expected " << expected;
+    return nullptr;
+  }
+  return entry->make();
 }
 
 const std::vector<std::string>& AllPaperPolicyIds() {

@@ -31,6 +31,7 @@ struct RefJob {
   double executed_work = 0;
   bool finished = false;
   bool missed = false;
+  int last_core = -1;  // core it last ran on; -1 = never dispatched
 };
 
 // Minimal SpeedController: tracks the current point, counts transitions, and
@@ -69,54 +70,101 @@ class RefSpeed : public SpeedController {
   double blocked_until_ = 0;
 };
 
-// The whole engine state lives in one struct so every helper can recompute
-// whatever it needs from scratch.
+// Field-wise slice-into-cluster summation (traces untouched; task stats
+// mapped back through the core's global ids).
+void RefAccumulate(const SimResult& slice, const std::vector<int>& global_ids,
+                   SimResult* cluster) {
+  cluster->exec_energy += slice.exec_energy;
+  cluster->idle_energy += slice.idle_energy;
+  cluster->busy_ms += slice.busy_ms;
+  cluster->idle_ms += slice.idle_ms;
+  cluster->switching_ms += slice.switching_ms;
+  cluster->total_work_executed += slice.total_work_executed;
+  cluster->releases += slice.releases;
+  cluster->completions += slice.completions;
+  cluster->deadline_misses += slice.deadline_misses;
+  cluster->aborted += slice.aborted;
+  cluster->unfinished_at_horizon += slice.unfinished_at_horizon;
+  cluster->wcet_overruns += slice.wcet_overruns;
+  cluster->speed_switches += slice.speed_switches;
+  cluster->preemptions += slice.preemptions;
+  cluster->policy_counters.MergeFrom(slice.policy_counters);
+  cluster->lower_bound_energy += slice.lower_bound_energy;
+  for (size_t i = 0; i < slice.residency.size(); ++i) {
+    cluster->residency[i].exec_ms += slice.residency[i].exec_ms;
+    cluster->residency[i].idle_ms += slice.residency[i].idle_ms;
+    cluster->residency[i].exec_energy += slice.residency[i].exec_energy;
+    cluster->residency[i].idle_energy += slice.residency[i].idle_energy;
+  }
+  for (size_t local = 0; local < slice.task_stats.size(); ++local) {
+    cluster->task_stats[static_cast<size_t>(global_ids[local])] =
+        slice.task_stats[local];
+  }
+}
+
+// The one reference engine: M >= 1 identical cores share one job list
+// (global scheduling; M = 1 is the uniprocessor, and every partitioned core
+// runs it with M = 1 over its own sub-set). The ranking, the core
+// assignment, the policy context and the next-event time are recomputed
+// from scratch at every event; each core integrates its own segment from
+// first principles.
 struct RefEngine {
   const TaskSet& tasks;
   const MachineSpec& machine;
-  DvsPolicy& policy;
+  const std::vector<DvsPolicy*> policies;  // one per core
   ExecTimeModel& exec_model;
   const SimOptions& options;
   const ReferenceFaults& faults;
+  const int num_cores;
+  const bool edf;
 
   std::vector<double> next_release;
   std::vector<int64_t> next_invocation;
   std::vector<double> cumulative_executed;
   std::vector<double> last_actual_work;
   std::vector<RefJob> jobs;  // creation order; finished jobs pruned per event
+  // Per core, a copy of the job it held in the previous segment (task_id -1
+  // when it was idle).
+  std::vector<RefJob> held_last;
   Pcg32 rng;
   double now = 0;
-  SimResult result;
+  // Time, energy, residency, switches and policy counters go on each core's
+  // slice (out.cores). Job outcomes (releases, completions, misses, task
+  // stats, preemptions, overruns) and the lower bound go to *jobs_out: the
+  // one slice at M = 1, the cluster result at M > 1.
+  MpSimResult out;
+  SimResult* jobs_out = nullptr;
 
   RefEngine(const TaskSet& tasks_in, const MachineSpec& machine_in,
-            DvsPolicy& policy_in, ExecTimeModel& exec_model_in,
+            std::vector<DvsPolicy*> policies_in, ExecTimeModel& exec_model_in,
             const SimOptions& options_in, const ReferenceFaults& faults_in)
       : tasks(tasks_in),
         machine(machine_in),
-        policy(policy_in),
+        policies(std::move(policies_in)),
         exec_model(exec_model_in),
         options(options_in),
         faults(faults_in),
-        rng(options_in.seed) {}
+        num_cores(static_cast<int>(policies.size())),
+        edf(policies.front()->scheduler_kind() == SchedulerKind::kEdf),
+        rng(options_in.seed) {
+    out.cores.resize(policies.size());
+    jobs_out = num_cores == 1 ? &out.cores.front() : &out.cluster;
+  }
 
   int num_tasks() const { return tasks.size(); }
 
   // --- Ready queue, recomputed from scratch: sort every unfinished job by
-  // the scheduler's priority order and take the front. ---
-  // EDF rank: (absolute deadline, task id, release). RM rank: (period,
-  // task id, release). Returns -1 when nothing is runnable.
-  int PickJobIndex() const {
-    std::vector<int> ready;
+  // the scheduler's priority order, then take the up-to-M first jobs of
+  // distinct tasks. EDF rank: (absolute deadline, task id, release). RM
+  // rank: (period, task id, release). ---
+  std::vector<int> PickTopJobs() const {
+    std::vector<int> order;
     for (int i = 0; i < static_cast<int>(jobs.size()); ++i) {
       if (!jobs[static_cast<size_t>(i)].finished) {
-        ready.push_back(i);
+        order.push_back(i);
       }
     }
-    if (ready.empty()) {
-      return -1;
-    }
-    const bool edf = policy.scheduler_kind() == SchedulerKind::kEdf;
-    std::stable_sort(ready.begin(), ready.end(), [&](int ia, int ib) {
+    std::stable_sort(order.begin(), order.end(), [&](int ia, int ib) {
       const RefJob& a = jobs[static_cast<size_t>(ia)];
       const RefJob& b = jobs[static_cast<size_t>(ib)];
       double ka = edf ? a.deadline_ms : tasks.task(a.task_id).period_ms;
@@ -129,7 +177,75 @@ struct RefEngine {
       }
       return a.release_ms < b.release_ms;
     });
-    return ready.front();
+    std::vector<int> picked;
+    for (int index : order) {
+      if (static_cast<int>(picked.size()) == num_cores) {
+        break;
+      }
+      const int task_id = jobs[static_cast<size_t>(index)].task_id;
+      if (std::none_of(picked.begin(), picked.end(), [&](int p) {
+            return jobs[static_cast<size_t>(p)].task_id == task_id;
+          })) {
+        picked.push_back(index);
+      }
+    }
+    return picked;
+  }
+
+  // Affinity assignment: keep a job on its previous core when free, then
+  // fill free cores lowest-index-first in priority order. Off-core landings
+  // count migrations.
+  std::vector<int> AssignCores(const std::vector<int>& picked) {
+    std::vector<int> core_job(static_cast<size_t>(num_cores), -1);
+    for (int job_index : picked) {
+      const int prev = jobs[static_cast<size_t>(job_index)].last_core;
+      if (prev >= 0 && core_job[static_cast<size_t>(prev)] < 0) {
+        core_job[static_cast<size_t>(prev)] = job_index;
+      }
+    }
+    int scan = 0;
+    for (int job_index : picked) {
+      RefJob& job = jobs[static_cast<size_t>(job_index)];
+      if (job.last_core >= 0 &&
+          core_job[static_cast<size_t>(job.last_core)] == job_index) {
+        continue;  // kept its core
+      }
+      while (core_job[static_cast<size_t>(scan)] >= 0) {
+        ++scan;
+      }
+      core_job[static_cast<size_t>(scan)] = job_index;
+      if (job.last_core >= 0) {
+        out.migrations += 1;
+      }
+      job.last_core = scan;
+    }
+    return core_job;
+  }
+
+  // Preemption accounting (diagnostic parity with production): a job that
+  // held a core in the previous segment, still unfinished, and holds none
+  // now. A job is identified by (task id, invocation).
+  void CountPreemptions(const std::vector<int>& core_job) {
+    for (const RefJob& held : held_last) {
+      auto is_held = [&](const RefJob& job) {
+        return job.task_id == held.task_id && job.invocation == held.invocation;
+      };
+      if (held.task_id < 0 ||
+          std::any_of(core_job.begin(), core_job.end(), [&](int j) {
+            return j >= 0 && is_held(jobs[static_cast<size_t>(j)]);
+          })) {
+        continue;
+      }
+      if (std::any_of(jobs.begin(), jobs.end(), [&](const RefJob& job) {
+            return is_held(job) && !job.finished;
+          })) {
+        jobs_out->preemptions += 1;
+      }
+    }
+    for (size_t c = 0; c < held_last.size(); ++c) {
+      held_last[c] =
+          core_job[c] >= 0 ? jobs[static_cast<size_t>(core_job[c])] : RefJob{};
+    }
   }
 
   // --- Policy context, recomputed from scratch at every call. ---
@@ -138,9 +254,11 @@ struct RefEngine {
     ctx.now_ms = now;
     ctx.tasks = &tasks;
     ctx.machine = &machine;
-    ctx.cumulative_busy_ms = result.busy_ms;
-    ctx.cumulative_idle_ms = result.idle_ms;
-    ctx.cumulative_work = result.total_work_executed;
+    for (const SimResult& slice : out.cores) {
+      ctx.cumulative_busy_ms += slice.busy_ms;
+      ctx.cumulative_idle_ms += slice.idle_ms;
+      ctx.cumulative_work += slice.total_work_executed;
+    }
     ctx.views.resize(static_cast<size_t>(num_tasks()));
     for (int id = 0; id < num_tasks(); ++id) {
       auto& view = ctx.views[static_cast<size_t>(id)];
@@ -171,15 +289,83 @@ struct RefEngine {
     return ctx;
   }
 
-  void FinalizeCompletion(RefJob* job) {
-    job->finished = true;
-    auto& stats = result.task_stats[static_cast<size_t>(job->task_id)];
-    stats.completions += 1;
-    result.completions += 1;
-    double response = now - job->release_ms;
-    stats.total_response_ms += response;
-    stats.max_response_ms = std::max(stats.max_response_ms, response);
-    last_actual_work[static_cast<size_t>(job->task_id)] = job->actual_work;
+  // Earliest next event strictly within the contract's tolerance rules.
+  double NextEventTime(const std::vector<int>& core_job,
+                       const std::vector<RefSpeed>& speeds,
+                       const std::vector<std::optional<double>>& wakeup) const {
+    double t = options.horizon_ms;
+    for (double r : next_release) {
+      t = std::min(t, r);
+    }
+    for (const RefJob& job : jobs) {
+      if (!job.finished && job.deadline_ms > now + kTimeEpsMs) {
+        t = std::min(t, job.deadline_ms);
+      }
+    }
+    for (int c = 0; c < num_cores; ++c) {
+      const auto cc = static_cast<size_t>(c);
+      if (wakeup[cc].has_value() && *wakeup[cc] > now + kTimeEpsMs) {
+        t = std::min(t, *wakeup[cc]);
+      }
+      if (core_job[cc] >= 0) {
+        const RefJob& job = jobs[static_cast<size_t>(core_job[cc])];
+        double exec_start = std::max(now, speeds[cc].blocked_until());
+        double remaining = job.actual_work - job.executed_work;
+        t = std::min(t, exec_start + remaining / speeds[cc].current().frequency);
+      }
+    }
+    return std::min(std::max(t, now), options.horizon_ms);
+  }
+
+  // Charge the wall-time segment [now, t_next) on core `c` to switching /
+  // execution / idle, integrating energy from first principles.
+  void IntegrateCore(int c, int job_index, const RefSpeed& speed, double t_next) {
+    SimResult& slice = out.cores[static_cast<size_t>(c)];
+    const OperatingPoint point = speed.current();
+    const double volt_sq = point.voltage * point.voltage;
+    auto& residency = slice.residency[machine.IndexOf(point)];
+    if (job_index >= 0) {
+      double exec_start = std::clamp(speed.blocked_until(), now, t_next);
+      double switch_dt = exec_start - now;
+      if (switch_dt > 0) {
+        slice.switching_ms += switch_dt;
+      }
+      double exec_dt = t_next - exec_start;
+      if (exec_dt > 0) {
+        RefJob& job = jobs[static_cast<size_t>(job_index)];
+        double work = exec_dt * point.frequency;
+        work = std::min(work, job.actual_work - job.executed_work);
+        job.executed_work += work;
+        cumulative_executed[static_cast<size_t>(job.task_id)] += work;
+        jobs_out->task_stats[static_cast<size_t>(job.task_id)].executed_work += work;
+        slice.total_work_executed += work;
+        slice.busy_ms += exec_dt;
+        double joules = work * volt_sq * options.energy_coefficient;
+        slice.exec_energy += joules;
+        residency.exec_ms += exec_dt;
+        residency.exec_energy += joules;
+      }
+    } else {
+      double halt_end = std::clamp(speed.blocked_until(), now, t_next);
+      if (faults.idle_path_switch_bug) {
+        // Injected historical bug: the whole window is treated as idle at
+        // the (new) point — the halt is never charged to switching_ms.
+        halt_end = now;
+      }
+      double switch_dt = halt_end - now;
+      if (switch_dt > 0) {
+        slice.switching_ms += switch_dt;
+      }
+      double idle_dt = t_next - halt_end;
+      if (idle_dt > 0) {
+        slice.idle_ms += idle_dt;
+        double joules = idle_dt * point.frequency * volt_sq *
+                        options.idle_level * options.energy_coefficient;
+        slice.idle_energy += joules;
+        residency.idle_ms += idle_dt;
+        residency.idle_energy += joules;
+      }
+    }
   }
 
   // Completions due at `now`; returns affected task ids in job-creation
@@ -188,7 +374,14 @@ struct RefEngine {
     std::vector<int> completed;
     for (RefJob& job : jobs) {
       if (!job.finished && job.actual_work - job.executed_work <= kWorkEps) {
-        FinalizeCompletion(&job);
+        job.finished = true;
+        auto& stats = jobs_out->task_stats[static_cast<size_t>(job.task_id)];
+        stats.completions += 1;
+        jobs_out->completions += 1;
+        double response = now - job.release_ms;
+        stats.total_response_ms += response;
+        stats.max_response_ms = std::max(stats.max_response_ms, response);
+        last_actual_work[static_cast<size_t>(job.task_id)] = job.actual_work;
         completed.push_back(job.task_id);
       }
     }
@@ -201,12 +394,13 @@ struct RefEngine {
         continue;
       }
       job.missed = true;
-      result.deadline_misses += 1;
-      result.task_stats[static_cast<size_t>(job.task_id)].deadline_misses += 1;
+      auto& stats = jobs_out->task_stats[static_cast<size_t>(job.task_id)];
+      jobs_out->deadline_misses += 1;
+      stats.deadline_misses += 1;
       if (options.miss_policy == MissPolicy::kAbortJob) {
         job.finished = true;
-        result.aborted += 1;
-        result.task_stats[static_cast<size_t>(job.task_id)].aborted += 1;
+        jobs_out->aborted += 1;
+        stats.aborted += 1;
       }
     }
   }
@@ -222,7 +416,7 @@ struct RefEngine {
         double fraction = exec_model.DrawFraction(id, next_invocation[i], rng);
         RTDVS_CHECK_GT(fraction, 0.0);
         if (fraction > 1.0 + kWorkEps) {
-          result.wcet_overruns += 1;
+          jobs_out->wcet_overruns += 1;
         }
         RefJob job;
         job.task_id = id;
@@ -234,146 +428,96 @@ struct RefEngine {
         jobs.push_back(job);
         next_invocation[i] += 1;
         next_release[i] += task.period_ms;
-        result.releases += 1;
-        result.task_stats[i].releases += 1;
+        jobs_out->releases += 1;
+        jobs_out->task_stats[i].releases += 1;
         released.push_back(id);
       }
     }
     return released;
   }
 
-  // Earliest next event strictly within the contract's tolerance rules.
-  double NextEventTime(int running, const RefSpeed& speed,
-                       const std::optional<double>& wakeup) const {
-    double t = options.horizon_ms;
-    for (double r : next_release) {
-      t = std::min(t, r);
-    }
-    for (const RefJob& job : jobs) {
-      if (!job.finished && job.deadline_ms > now + kTimeEpsMs) {
-        t = std::min(t, job.deadline_ms);
-      }
-    }
-    if (wakeup.has_value() && *wakeup > now + kTimeEpsMs) {
-      t = std::min(t, *wakeup);
-    }
-    if (running >= 0) {
-      const RefJob& job = jobs[static_cast<size_t>(running)];
-      double exec_start = std::max(now, speed.blocked_until());
-      double remaining = job.actual_work - job.executed_work;
-      t = std::min(t, exec_start + remaining / speed.current().frequency);
-    }
-    return std::min(std::max(t, now), options.horizon_ms);
-  }
-
-  // Charge the wall-time segment [now, t_next) to switching / execution /
-  // idle, integrating energy from first principles.
-  void IntegrateSegment(int running, const RefSpeed& speed, double t_next) {
-    const OperatingPoint point = speed.current();
-    const double volt_sq = point.voltage * point.voltage;
-    auto& residency = result.residency[machine.IndexOf(point)];
-    if (running >= 0) {
-      double exec_start =
-          std::min(std::max(std::max(now, speed.blocked_until()), now), t_next);
-      double switch_dt = exec_start - now;
-      if (switch_dt > 0) {
-        result.switching_ms += switch_dt;
-      }
-      double exec_dt = t_next - exec_start;
-      if (exec_dt > 0) {
-        RefJob& job = jobs[static_cast<size_t>(running)];
-        double work = exec_dt * point.frequency;
-        work = std::min(work, job.actual_work - job.executed_work);
-        job.executed_work += work;
-        cumulative_executed[static_cast<size_t>(job.task_id)] += work;
-        result.task_stats[static_cast<size_t>(job.task_id)].executed_work += work;
-        result.total_work_executed += work;
-        result.busy_ms += exec_dt;
-        double joules = work * volt_sq * options.energy_coefficient;
-        result.exec_energy += joules;
-        residency.exec_ms += exec_dt;
-        residency.exec_energy += joules;
-      }
-    } else {
-      double halt_end = std::clamp(speed.blocked_until(), now, t_next);
-      if (faults.idle_path_switch_bug) {
-        // Injected historical bug: the whole window is treated as idle at
-        // the (new) point — the halt is never charged to switching_ms.
-        halt_end = now;
-      }
-      double switch_dt = halt_end - now;
-      if (switch_dt > 0) {
-        result.switching_ms += switch_dt;
-      }
-      double idle_dt = t_next - halt_end;
-      if (idle_dt > 0) {
-        result.idle_ms += idle_dt;
-        double joules = idle_dt * point.frequency * volt_sq *
-                        options.idle_level * options.energy_coefficient;
-        result.idle_energy += joules;
-        residency.idle_ms += idle_dt;
-        residency.idle_energy += joules;
-      }
-    }
-  }
-
-  SimResult Run() {
+  MpSimResult Run() {
     const int n = num_tasks();
+    const auto m = static_cast<size_t>(num_cores);
     next_release.assign(static_cast<size_t>(n), 0.0);
     next_invocation.assign(static_cast<size_t>(n), 0);
     cumulative_executed.assign(static_cast<size_t>(n), 0.0);
     last_actual_work.assign(static_cast<size_t>(n), 0.0);
-    result.task_stats.assign(static_cast<size_t>(n), TaskStats{});
     for (int id = 0; id < n; ++id) {
       next_release[static_cast<size_t>(id)] = tasks.task(id).phase_ms;
       last_actual_work[static_cast<size_t>(id)] = tasks.task(id).wcet_ms;
     }
-    result.policy_name = policy.name();
-    result.scheduler = policy.scheduler_kind();
-    result.horizon_ms = options.horizon_ms;
-    for (const OperatingPoint& point : machine.points()) {
-      result.residency.push_back(PointResidency{point, 0, 0, 0, 0});
+    jobs_out->task_stats.assign(static_cast<size_t>(n), TaskStats{});
+    if (num_cores > 1) {
+      out.cluster.horizon_ms = options.horizon_ms;
+      for (const OperatingPoint& point : machine.points()) {
+        out.cluster.residency.push_back(PointResidency{point, 0, 0, 0, 0});
+      }
     }
 
-    const PolicyCounters counters_at_start = policy.counters();
-    RefSpeed speed(&machine, &now, options.switch_time_ms, &result.speed_switches);
-    {
-      PolicyContext ctx = BuildContext();
-      policy.OnStart(ctx, speed);
-    }
-    std::optional<double> wakeup;
-    {
-      PolicyContext ctx = BuildContext();
-      wakeup = policy.NextWakeupMs(ctx);
+    std::vector<RefSpeed> speeds;
+    std::vector<PolicyCounters> counters_at_start(m);
+    for (size_t c = 0; c < m; ++c) {
+      SimResult& slice = out.cores[c];
+      slice.policy_name = policies[c]->name();
+      slice.scheduler = policies[c]->scheduler_kind();
+      slice.horizon_ms = options.horizon_ms;
+      for (const OperatingPoint& point : machine.points()) {
+        slice.residency.push_back(PointResidency{point, 0, 0, 0, 0});
+      }
+      speeds.emplace_back(&machine, &now, options.switch_time_ms,
+                          &slice.speed_switches);
+      counters_at_start[c] = policies[c]->counters();
     }
 
-    bool was_idle = false;
-    int prev_task = -1;
-    int64_t prev_invocation = -1;
+    held_last.assign(m, RefJob{});
+    std::vector<std::optional<double>> wakeup(m);
+    std::vector<char> was_idle(m, 0);
+    {
+      PolicyContext ctx = BuildContext();
+      for (size_t c = 0; c < m; ++c) {
+        policies[c]->OnStart(ctx, speeds[c]);
+      }
+    }
+    {
+      PolicyContext ctx = BuildContext();
+      for (size_t c = 0; c < m; ++c) {
+        wakeup[c] = policies[c]->NextWakeupMs(ctx);
+      }
+    }
 
     while (now < options.horizon_ms - kTimeEpsMs) {
-      const int running = PickJobIndex();
+      const std::vector<int> core_job = AssignCores(PickTopJobs());
+      CountPreemptions(core_job);
+      const double t_next = NextEventTime(core_job, speeds, wakeup);
 
-      // Preemption accounting (diagnostic parity with production): another
-      // job takes over while the previously running one still has work.
-      if (running >= 0) {
-        const RefJob& job = jobs[static_cast<size_t>(running)];
-        if (prev_task >= 0 &&
-            (job.task_id != prev_task || job.invocation != prev_invocation)) {
-          for (const RefJob& other : jobs) {
-            if (other.task_id == prev_task && other.invocation == prev_invocation &&
-                !other.finished) {
-              result.preemptions += 1;
-              break;
-            }
+      // At M > 1, one OnIdle per idle period per core, only ahead of a
+      // segment with real length (M = 1 fires it after the callbacks below).
+      if (num_cores > 1 && t_next > now + kTimeEpsMs) {
+        bool any = false;
+        for (size_t c = 0; c < m; ++c) {
+          if (core_job[c] < 0 && !was_idle[c]) {
+            any = true;
           }
         }
-        prev_task = job.task_id;
-        prev_invocation = job.invocation;
+        PolicyContext ctx;
+        if (any) {
+          ctx = BuildContext();
+        }
+        for (size_t c = 0; c < m; ++c) {
+          if (core_job[c] >= 0) {
+            was_idle[c] = 0;
+          } else if (!was_idle[c]) {
+            policies[c]->OnIdle(ctx, speeds[c]);
+            was_idle[c] = 1;
+          }
+        }
       }
 
-      const double t_next = NextEventTime(running, speed, wakeup);
-      IntegrateSegment(running, speed, t_next);
+      for (int c = 0; c < num_cores; ++c) {
+        IntegrateCore(c, core_job[static_cast<size_t>(c)],
+                      speeds[static_cast<size_t>(c)], t_next);
+      }
       now = t_next;
       if (now >= options.horizon_ms - kTimeEpsMs) {
         break;
@@ -395,52 +539,65 @@ struct RefEngine {
                  jobs.end());
 
       // Policy callbacks after all state changes: completions first, then
-      // releases, then any due timer wakeup; OnIdle once per idle period.
+      // releases, then any due timer wakeup, each on every core.
       PolicyContext ctx = BuildContext();
       for (int task_id : completed) {
-        policy.OnTaskCompletion(task_id, ctx, speed);
-      }
-      for (int task_id : released) {
-        policy.OnTaskRelease(task_id, ctx, speed);
-      }
-      if (wakeup.has_value() && *wakeup <= now + kTimeEpsMs) {
-        policy.OnWakeup(ctx, speed);
-      }
-      wakeup = policy.NextWakeupMs(ctx);
-
-      bool any_unfinished = false;
-      for (const RefJob& job : jobs) {
-        if (!job.finished) {
-          any_unfinished = true;
-          break;
+        for (size_t c = 0; c < m; ++c) {
+          policies[c]->OnTaskCompletion(task_id, ctx, speeds[c]);
         }
       }
-      if (!any_unfinished && !was_idle) {
-        policy.OnIdle(ctx, speed);
+      for (int task_id : released) {
+        for (size_t c = 0; c < m; ++c) {
+          policies[c]->OnTaskRelease(task_id, ctx, speeds[c]);
+        }
       }
-      was_idle = !any_unfinished;
+      for (size_t c = 0; c < m; ++c) {
+        if (wakeup[c].has_value() && *wakeup[c] <= now + kTimeEpsMs) {
+          policies[c]->OnWakeup(ctx, speeds[c]);
+        }
+        wakeup[c] = policies[c]->NextWakeupMs(ctx);
+      }
+
+      // At M = 1, OnIdle fires here, once per idle period: an idle stretch
+      // before a phased first release keeps the OnStart speed.
+      if (num_cores == 1) {
+        if (jobs.empty() && !was_idle[0]) {
+          policies[0]->OnIdle(ctx, speeds[0]);
+        }
+        was_idle[0] = jobs.empty() ? 1 : 0;
+      }
     }
 
     for (const RefJob& job : jobs) {
       if (!job.finished) {
-        result.unfinished_at_horizon += 1;
-        result.task_stats[static_cast<size_t>(job.task_id)].unfinished += 1;
+        jobs_out->unfinished_at_horizon += 1;
+        jobs_out->task_stats[static_cast<size_t>(job.task_id)].unfinished += 1;
       }
     }
-    result.lower_bound_energy = MinimumExecutionEnergy(
-        result.total_work_executed, options.horizon_ms, machine,
-        EnergyModel(0.0, options.energy_coefficient));
-    result.server_task_id = -1;
-    result.policy_counters = policy.counters().DiffSince(counters_at_start);
-    return result;
+    for (size_t c = 0; c < m; ++c) {
+      out.cores[c].policy_counters =
+          policies[c]->counters().DiffSince(counters_at_start[c]);
+      if (num_cores > 1) {
+        RefAccumulate(out.cores[c], {}, &out.cluster);
+      }
+    }
+    // The run's §3.2 bound: per-core bound at an even work split (convexity
+    // makes the even split the cheapest division over identical cores).
+    jobs_out->lower_bound_energy =
+        num_cores * MinimumExecutionEnergy(
+                        jobs_out->total_work_executed / num_cores,
+                        options.horizon_ms, machine,
+                        EnergyModel(0.0, options.energy_coefficient));
+    return std::move(out);
   }
 };
 
 // ---------------------------------------------------------------------------
-// Multiprocessor oracle. Everything below reimplements the cluster contract
+// Cluster driver. Everything below reimplements the cluster contract
 // (src/engine/cluster.h admission tables, src/sim/mp_simulator.h driver
-// semantics) from scratch; only the shared value types (PartitionResult,
-// MpSimResult, PolicyCounters) come from production headers.
+// semantics) from scratch around the engine above; only the shared value
+// types (PartitionResult, MpSimResult, PolicyCounters) come from production
+// headers.
 // ---------------------------------------------------------------------------
 
 // Liu-Layland bound, recomputed locally: n * (2^(1/n) - 1).
@@ -476,8 +633,10 @@ PartitionResult RefPartitionTasks(const TaskSet& tasks, int num_cores,
     const int first = heuristic == PartitionHeuristic::kNextFit ? cursor : 0;
     for (int c = first; c < num_cores; ++c) {
       const auto cc = static_cast<size_t>(c);
-      if (RefCoreAdmits(kinds[cc], result.core_utilization[cc],
-                        result.core_task_count[cc], u)) {
+      // M = 1 has no admission test: production's single-core path runs
+      // any set.
+      if (num_cores == 1 || RefCoreAdmits(kinds[cc], result.core_utilization[cc],
+                                          result.core_task_count[cc], u)) {
         admitting.push_back(c);
       }
     }
@@ -544,38 +703,6 @@ SimResult RefPoweredDownSlice(const MachineSpec& machine,
   return slice;
 }
 
-// Field-wise slice-into-cluster summation (traces untouched; task stats
-// mapped back through the core's global ids).
-void RefAccumulate(const SimResult& slice, const std::vector<int>& global_ids,
-                   SimResult* cluster) {
-  cluster->exec_energy += slice.exec_energy;
-  cluster->idle_energy += slice.idle_energy;
-  cluster->busy_ms += slice.busy_ms;
-  cluster->idle_ms += slice.idle_ms;
-  cluster->switching_ms += slice.switching_ms;
-  cluster->total_work_executed += slice.total_work_executed;
-  cluster->releases += slice.releases;
-  cluster->completions += slice.completions;
-  cluster->deadline_misses += slice.deadline_misses;
-  cluster->aborted += slice.aborted;
-  cluster->unfinished_at_horizon += slice.unfinished_at_horizon;
-  cluster->wcet_overruns += slice.wcet_overruns;
-  cluster->speed_switches += slice.speed_switches;
-  cluster->preemptions += slice.preemptions;
-  cluster->policy_counters.MergeFrom(slice.policy_counters);
-  cluster->lower_bound_energy += slice.lower_bound_energy;
-  for (size_t i = 0; i < slice.residency.size(); ++i) {
-    cluster->residency[i].exec_ms += slice.residency[i].exec_ms;
-    cluster->residency[i].idle_ms += slice.residency[i].idle_ms;
-    cluster->residency[i].exec_energy += slice.residency[i].exec_energy;
-    cluster->residency[i].idle_energy += slice.residency[i].idle_energy;
-  }
-  for (size_t local = 0; local < slice.task_stats.size(); ++local) {
-    cluster->task_stats[static_cast<size_t>(global_ids[local])] =
-        slice.task_stats[local];
-  }
-}
-
 // Local-to-global id translation for a partitioned core's sub-task-set;
 // invocation indices pass through (a partitioned task runs on one core, so
 // its local invocation sequence is its global one).
@@ -594,492 +721,15 @@ class RefScopedExecModel : public ExecTimeModel {
   const std::vector<int>* global_ids_;
 };
 
-std::string RefClusterPolicyName(
-    const std::vector<std::unique_ptr<DvsPolicy>>& policies) {
+std::string RefClusterPolicyName(const std::vector<DvsPolicy*>& policies) {
   std::string name = policies.front()->name();
-  for (const auto& policy : policies) {
+  for (const DvsPolicy* policy : policies) {
     if (policy->name() != name) {
       name += "+" + policy->name();
     }
   }
   return name;
 }
-
-// Global-mode reference engine: cluster-wide job list, from-scratch ranking
-// at every event, per-core first-principles integration.
-struct RefClusterEngine {
-  const TaskSet& tasks;
-  const MachineSpec& machine;
-  const SimOptions& options;
-  const ReferenceFaults& faults;
-  std::vector<std::unique_ptr<DvsPolicy>>& policies;
-  ExecTimeModel& exec_model;
-  const int num_cores;
-  const bool edf;
-
-  std::vector<double> next_release;
-  std::vector<int64_t> next_invocation;
-  std::vector<double> cumulative_executed;
-  std::vector<double> last_actual_work;
-  std::vector<RefJob> jobs;  // creation order
-  // Parallel to jobs: last core each job ran on (-1 = never) and whether it
-  // held a core in the previous segment.
-  std::vector<int> last_core;
-  std::vector<char> was_dispatched;
-  Pcg32 rng;
-  double now = 0;
-  MpSimResult out;
-
-  RefClusterEngine(const SimRequest& request,
-                   std::vector<std::unique_ptr<DvsPolicy>>& policies_in,
-                   ExecTimeModel& exec_model_in, const ReferenceFaults& faults_in)
-      : tasks(request.tasks),
-        machine(request.cluster.machine),
-        options(request.options),
-        faults(faults_in),
-        policies(policies_in),
-        exec_model(exec_model_in),
-        num_cores(request.cluster.num_cores),
-        edf(policies_in.front()->scheduler_kind() == SchedulerKind::kEdf),
-        rng(request.options.seed) {}
-
-  int num_tasks() const { return tasks.size(); }
-
-  // The up-to-M highest-priority unfinished jobs, at most one per task, in
-  // priority order: (deadline | period, task id, release).
-  std::vector<int> PickTopJobs() const {
-    std::vector<int> order;
-    for (int i = 0; i < static_cast<int>(jobs.size()); ++i) {
-      if (!jobs[static_cast<size_t>(i)].finished) {
-        order.push_back(i);
-      }
-    }
-    std::stable_sort(order.begin(), order.end(), [&](int ia, int ib) {
-      const RefJob& a = jobs[static_cast<size_t>(ia)];
-      const RefJob& b = jobs[static_cast<size_t>(ib)];
-      double ka = edf ? a.deadline_ms : tasks.task(a.task_id).period_ms;
-      double kb = edf ? b.deadline_ms : tasks.task(b.task_id).period_ms;
-      if (ka != kb) {
-        return ka < kb;
-      }
-      if (a.task_id != b.task_id) {
-        return a.task_id < b.task_id;
-      }
-      return a.release_ms < b.release_ms;
-    });
-    std::vector<int> picked;
-    std::vector<char> taken(static_cast<size_t>(num_tasks()), 0);
-    for (int index : order) {
-      if (static_cast<int>(picked.size()) == num_cores) {
-        break;
-      }
-      auto tid = static_cast<size_t>(jobs[static_cast<size_t>(index)].task_id);
-      if (taken[tid]) {
-        continue;
-      }
-      taken[tid] = 1;
-      picked.push_back(index);
-    }
-    return picked;
-  }
-
-  // Affinity assignment: keep a job on its previous core when free, then
-  // fill free cores lowest-index-first in priority order. Off-core landings
-  // count migrations.
-  std::vector<int> AssignCores(const std::vector<int>& picked) {
-    std::vector<int> core_job(static_cast<size_t>(num_cores), -1);
-    std::vector<char> placed(picked.size(), 0);
-    for (size_t p = 0; p < picked.size(); ++p) {
-      const int prev = last_core[static_cast<size_t>(picked[p])];
-      if (prev >= 0 && core_job[static_cast<size_t>(prev)] < 0) {
-        core_job[static_cast<size_t>(prev)] = picked[p];
-        placed[p] = 1;
-      }
-    }
-    int scan = 0;
-    for (size_t p = 0; p < picked.size(); ++p) {
-      if (placed[p]) {
-        continue;
-      }
-      while (core_job[static_cast<size_t>(scan)] >= 0) {
-        ++scan;
-      }
-      core_job[static_cast<size_t>(scan)] = picked[p];
-      const auto jp = static_cast<size_t>(picked[p]);
-      if (last_core[jp] >= 0 && last_core[jp] != scan) {
-        out.migrations += 1;
-      }
-      last_core[jp] = scan;
-    }
-    return core_job;
-  }
-
-  PolicyContext BuildContext() const {
-    PolicyContext ctx;
-    ctx.now_ms = now;
-    ctx.tasks = &tasks;
-    ctx.machine = &machine;
-    for (const SimResult& slice : out.cores) {
-      ctx.cumulative_busy_ms += slice.busy_ms;
-      ctx.cumulative_idle_ms += slice.idle_ms;
-      ctx.cumulative_work += slice.total_work_executed;
-    }
-    ctx.views.resize(static_cast<size_t>(num_tasks()));
-    for (int id = 0; id < num_tasks(); ++id) {
-      auto& view = ctx.views[static_cast<size_t>(id)];
-      view.has_active_job = false;
-      view.next_deadline_ms = next_release[static_cast<size_t>(id)];
-      view.executed_in_invocation = 0;
-      view.worst_case_remaining = 0;
-      view.cumulative_executed = cumulative_executed[static_cast<size_t>(id)];
-      view.last_actual_work = last_actual_work[static_cast<size_t>(id)];
-    }
-    std::vector<double> chosen_release(static_cast<size_t>(num_tasks()), kInf);
-    for (const RefJob& job : jobs) {
-      if (job.finished) {
-        continue;
-      }
-      auto i = static_cast<size_t>(job.task_id);
-      if (job.release_ms < chosen_release[i]) {
-        chosen_release[i] = job.release_ms;
-        ctx.views[i].has_active_job = true;
-        ctx.views[i].next_deadline_ms = job.deadline_ms;
-        ctx.views[i].executed_in_invocation = job.executed_work;
-        ctx.views[i].worst_case_remaining =
-            std::max(0.0, job.wcet_work - job.executed_work);
-      }
-    }
-    return ctx;
-  }
-
-  double NextEventTime(const std::vector<int>& core_job,
-                       const std::vector<RefSpeed>& speeds,
-                       const std::vector<std::optional<double>>& wakeup) const {
-    double t = options.horizon_ms;
-    for (double r : next_release) {
-      t = std::min(t, r);
-    }
-    for (const RefJob& job : jobs) {
-      if (!job.finished && job.deadline_ms > now + kTimeEpsMs) {
-        t = std::min(t, job.deadline_ms);
-      }
-    }
-    for (int c = 0; c < num_cores; ++c) {
-      const auto cc = static_cast<size_t>(c);
-      if (wakeup[cc].has_value() && *wakeup[cc] > now + kTimeEpsMs) {
-        t = std::min(t, *wakeup[cc]);
-      }
-      if (core_job[cc] >= 0) {
-        const RefJob& job = jobs[static_cast<size_t>(core_job[cc])];
-        double exec_start = std::max(now, speeds[cc].blocked_until());
-        double remaining = job.actual_work - job.executed_work;
-        t = std::min(t, exec_start + remaining / speeds[cc].current().frequency);
-      }
-    }
-    return std::min(std::max(t, now), options.horizon_ms);
-  }
-
-  // Charge [now, t_next) on core `c` to switching / execution / idle.
-  void IntegrateCore(int c, int job_index, const RefSpeed& speed, double t_next) {
-    SimResult& slice = out.cores[static_cast<size_t>(c)];
-    const OperatingPoint point = speed.current();
-    const double volt_sq = point.voltage * point.voltage;
-    auto& residency = slice.residency[machine.IndexOf(point)];
-    if (job_index >= 0) {
-      double exec_start = std::clamp(speed.blocked_until(), now, t_next);
-      double switch_dt = exec_start - now;
-      if (switch_dt > 0) {
-        slice.switching_ms += switch_dt;
-      }
-      double exec_dt = t_next - exec_start;
-      if (exec_dt > 0) {
-        RefJob& job = jobs[static_cast<size_t>(job_index)];
-        double work = exec_dt * point.frequency;
-        work = std::min(work, job.actual_work - job.executed_work);
-        job.executed_work += work;
-        cumulative_executed[static_cast<size_t>(job.task_id)] += work;
-        out.cluster.task_stats[static_cast<size_t>(job.task_id)].executed_work +=
-            work;
-        slice.total_work_executed += work;
-        slice.busy_ms += exec_dt;
-        double joules = work * volt_sq * options.energy_coefficient;
-        slice.exec_energy += joules;
-        residency.exec_ms += exec_dt;
-        residency.exec_energy += joules;
-      }
-    } else {
-      double halt_end = std::clamp(speed.blocked_until(), now, t_next);
-      if (faults.idle_path_switch_bug) {
-        halt_end = now;  // injected: the halt is never charged to switching
-      }
-      double switch_dt = halt_end - now;
-      if (switch_dt > 0) {
-        slice.switching_ms += switch_dt;
-      }
-      double idle_dt = t_next - halt_end;
-      if (idle_dt > 0) {
-        slice.idle_ms += idle_dt;
-        double joules = idle_dt * point.frequency * volt_sq *
-                        options.idle_level * options.energy_coefficient;
-        slice.idle_energy += joules;
-        residency.idle_ms += idle_dt;
-        residency.idle_energy += joules;
-      }
-    }
-  }
-
-  std::vector<int> ProcessCompletions() {
-    std::vector<int> completed;
-    for (RefJob& job : jobs) {
-      if (!job.finished && job.actual_work - job.executed_work <= kWorkEps) {
-        job.finished = true;
-        auto& stats = out.cluster.task_stats[static_cast<size_t>(job.task_id)];
-        stats.completions += 1;
-        out.cluster.completions += 1;
-        double response = now - job.release_ms;
-        stats.total_response_ms += response;
-        stats.max_response_ms = std::max(stats.max_response_ms, response);
-        last_actual_work[static_cast<size_t>(job.task_id)] = job.actual_work;
-        completed.push_back(job.task_id);
-      }
-    }
-    return completed;
-  }
-
-  void ProcessMisses() {
-    for (RefJob& job : jobs) {
-      if (job.finished || job.missed || job.deadline_ms > now + kTimeEpsMs) {
-        continue;
-      }
-      job.missed = true;
-      out.cluster.deadline_misses += 1;
-      out.cluster.task_stats[static_cast<size_t>(job.task_id)].deadline_misses +=
-          1;
-      if (options.miss_policy == MissPolicy::kAbortJob) {
-        job.finished = true;
-        out.cluster.aborted += 1;
-        out.cluster.task_stats[static_cast<size_t>(job.task_id)].aborted += 1;
-      }
-    }
-  }
-
-  std::vector<int> ProcessReleases() {
-    std::vector<int> released;
-    for (int id = 0; id < num_tasks(); ++id) {
-      auto i = static_cast<size_t>(id);
-      const Task& task = tasks.task(id);
-      while (next_release[i] <= now + kTimeEpsMs) {
-        double fraction = exec_model.DrawFraction(id, next_invocation[i], rng);
-        RTDVS_CHECK_GT(fraction, 0.0);
-        if (fraction > 1.0 + kWorkEps) {
-          out.cluster.wcet_overruns += 1;
-        }
-        RefJob job;
-        job.task_id = id;
-        job.invocation = next_invocation[i];
-        job.release_ms = next_release[i];
-        job.deadline_ms = next_release[i] + task.period_ms;
-        job.wcet_work = task.wcet_ms;
-        job.actual_work = fraction * task.wcet_ms;
-        jobs.push_back(job);
-        last_core.push_back(-1);
-        was_dispatched.push_back(0);
-        next_invocation[i] += 1;
-        next_release[i] += task.period_ms;
-        out.cluster.releases += 1;
-        out.cluster.task_stats[i].releases += 1;
-        released.push_back(id);
-      }
-    }
-    return released;
-  }
-
-  void PruneFinished() {
-    size_t kept = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].finished) {
-        continue;
-      }
-      jobs[kept] = jobs[i];
-      last_core[kept] = last_core[i];
-      was_dispatched[kept] = was_dispatched[i];
-      ++kept;
-    }
-    jobs.resize(kept);
-    last_core.resize(kept);
-    was_dispatched.resize(kept);
-  }
-
-  MpSimResult Run() {
-    const int n = num_tasks();
-    const auto m = static_cast<size_t>(num_cores);
-    out.mode = MpMode::kGlobal;
-    out.num_cores = num_cores;
-    out.admitted = true;
-    out.partition.feasible = true;
-    out.partition.cores_used = num_cores;
-    out.partition.core_of_task.assign(static_cast<size_t>(n), -1);
-    out.partition.core_utilization.assign(m, 0.0);
-    out.partition.core_task_count.assign(m, 0);
-    out.core_tasks.assign(m, tasks);
-    out.core_global_ids.assign(m, {});
-    for (size_t c = 0; c < m; ++c) {
-      for (int id = 0; id < n; ++id) {
-        out.core_global_ids[c].push_back(id);
-      }
-    }
-    out.cores.resize(m);
-    out.cluster.horizon_ms = options.horizon_ms;
-    out.cluster.task_stats.assign(static_cast<size_t>(n), TaskStats{});
-    for (const OperatingPoint& point : machine.points()) {
-      out.cluster.residency.push_back(PointResidency{point, 0, 0, 0, 0});
-    }
-
-    next_release.assign(static_cast<size_t>(n), 0.0);
-    next_invocation.assign(static_cast<size_t>(n), 0);
-    cumulative_executed.assign(static_cast<size_t>(n), 0.0);
-    last_actual_work.assign(static_cast<size_t>(n), 0.0);
-    for (int id = 0; id < n; ++id) {
-      next_release[static_cast<size_t>(id)] = tasks.task(id).phase_ms;
-      last_actual_work[static_cast<size_t>(id)] = tasks.task(id).wcet_ms;
-    }
-
-    std::vector<RefSpeed> speeds;
-    std::vector<PolicyCounters> counters_at_start(m);
-    for (size_t c = 0; c < m; ++c) {
-      SimResult& slice = out.cores[c];
-      slice.policy_name = policies[c]->name();
-      slice.scheduler = policies[c]->scheduler_kind();
-      slice.horizon_ms = options.horizon_ms;
-      for (const OperatingPoint& point : machine.points()) {
-        slice.residency.push_back(PointResidency{point, 0, 0, 0, 0});
-      }
-      speeds.emplace_back(&machine, &now, options.switch_time_ms,
-                          &slice.speed_switches);
-      counters_at_start[c] = policies[c]->counters();
-    }
-
-    std::vector<std::optional<double>> wakeup(m);
-    std::vector<char> was_idle(m, 0);
-    {
-      PolicyContext ctx = BuildContext();
-      for (size_t c = 0; c < m; ++c) {
-        policies[c]->OnStart(ctx, speeds[c]);
-      }
-    }
-    {
-      PolicyContext ctx = BuildContext();
-      for (size_t c = 0; c < m; ++c) {
-        wakeup[c] = policies[c]->NextWakeupMs(ctx);
-      }
-    }
-
-    while (now < options.horizon_ms - kTimeEpsMs) {
-      const std::vector<int> picked = PickTopJobs();
-      const std::vector<int> core_job = AssignCores(picked);
-
-      // Preemption accounting: a job that held a core in the previous
-      // segment, still unfinished, and holds none now.
-      std::vector<char> holds(jobs.size(), 0);
-      for (size_t c = 0; c < m; ++c) {
-        if (core_job[c] >= 0) {
-          holds[static_cast<size_t>(core_job[c])] = 1;
-        }
-      }
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (was_dispatched[i] && !holds[i] && !jobs[i].finished) {
-          out.cluster.preemptions += 1;
-        }
-      }
-      was_dispatched = holds;
-
-      const double t_next = NextEventTime(core_job, speeds, wakeup);
-
-      // One OnIdle per idle period per core, only ahead of a segment with
-      // real length.
-      if (t_next > now + kTimeEpsMs) {
-        bool any = false;
-        for (size_t c = 0; c < m; ++c) {
-          if (core_job[c] < 0 && !was_idle[c]) {
-            any = true;
-          }
-        }
-        PolicyContext ctx;
-        if (any) {
-          ctx = BuildContext();
-        }
-        for (size_t c = 0; c < m; ++c) {
-          if (core_job[c] >= 0) {
-            was_idle[c] = 0;
-          } else if (!was_idle[c]) {
-            policies[c]->OnIdle(ctx, speeds[c]);
-            was_idle[c] = 1;
-          }
-        }
-      }
-
-      for (int c = 0; c < num_cores; ++c) {
-        IntegrateCore(c, core_job[static_cast<size_t>(c)],
-                      speeds[static_cast<size_t>(c)], t_next);
-      }
-      now = t_next;
-      if (now >= options.horizon_ms - kTimeEpsMs) {
-        break;
-      }
-
-      std::vector<int> completed;
-      if (faults.miss_before_completion_bug) {
-        ProcessMisses();
-        completed = ProcessCompletions();
-      } else {
-        completed = ProcessCompletions();
-        ProcessMisses();
-      }
-      std::vector<int> released = ProcessReleases();
-      PruneFinished();
-
-      PolicyContext ctx = BuildContext();
-      for (int task_id : completed) {
-        for (size_t c = 0; c < m; ++c) {
-          policies[c]->OnTaskCompletion(task_id, ctx, speeds[c]);
-        }
-      }
-      for (int task_id : released) {
-        for (size_t c = 0; c < m; ++c) {
-          policies[c]->OnTaskRelease(task_id, ctx, speeds[c]);
-        }
-      }
-      for (size_t c = 0; c < m; ++c) {
-        if (wakeup[c].has_value() && *wakeup[c] <= now + kTimeEpsMs) {
-          policies[c]->OnWakeup(ctx, speeds[c]);
-        }
-        wakeup[c] = policies[c]->NextWakeupMs(ctx);
-      }
-    }
-
-    for (const RefJob& job : jobs) {
-      if (!job.finished) {
-        out.cluster.unfinished_at_horizon += 1;
-        out.cluster.task_stats[static_cast<size_t>(job.task_id)].unfinished += 1;
-      }
-    }
-    for (size_t c = 0; c < m; ++c) {
-      out.cores[c].policy_counters =
-          policies[c]->counters().DiffSince(counters_at_start[c]);
-      RefAccumulate(out.cores[c], {}, &out.cluster);
-    }
-    // Cluster bound: per-core bound at an even work split (convexity makes
-    // the even split the cheapest division over identical cores).
-    out.cluster.lower_bound_energy =
-        num_cores * MinimumExecutionEnergy(
-                        out.cluster.total_work_executed / num_cores,
-                        options.horizon_ms, machine,
-                        EnergyModel(0.0, options.energy_coefficient));
-    out.cluster.policy_name = RefClusterPolicyName(policies);
-    out.cluster.scheduler = policies.front()->scheduler_kind();
-    return std::move(out);
-  }
-};
 
 }  // namespace
 
@@ -1092,8 +742,9 @@ SimResult RunReferenceSimulation(const TaskSet& tasks, const MachineSpec& machin
   RTDVS_CHECK_GE(options.switch_time_ms, 0.0);
   RTDVS_CHECK(options.aperiodic.kind == ServerKind::kNone)
       << "the reference simulator does not model aperiodic servers";
-  RefEngine engine(tasks, machine, policy, exec_model, options, faults);
-  return engine.Run();
+  MpSimResult run =
+      RefEngine(tasks, machine, {&policy}, exec_model, options, faults).Run();
+  return std::move(run.cores.front());
 }
 
 SimResult RunReferenceSimulation(const TaskSet& tasks, const MachineSpec& machine,
@@ -1115,100 +766,88 @@ MpSimResult RunReferenceClusterSimulation(const SimRequest& request,
   RTDVS_CHECK(!request.policy_ids.empty());
   RTDVS_CHECK(request.policy_ids.size() == 1 ||
               static_cast<int>(request.policy_ids.size()) == num_cores);
-  std::vector<std::unique_ptr<DvsPolicy>> policies;
+  RTDVS_CHECK(num_cores == 1 || request.options.aperiodic.kind == ServerKind::kNone)
+      << "aperiodic servers are supported only at num_cores == 1";
+  std::vector<std::unique_ptr<DvsPolicy>> owned;
+  std::vector<DvsPolicy*> policies;
+  std::vector<SchedulerKind> kinds;
   for (int c = 0; c < num_cores; ++c) {
     const std::string& id = request.policy_ids.size() == 1
                                 ? request.policy_ids.front()
                                 : request.policy_ids[static_cast<size_t>(c)];
-    policies.push_back(MakePolicy(id));
+    owned.push_back(MakePolicy(id));
+    policies.push_back(owned.back().get());
+    kinds.push_back(owned.back()->scheduler_kind());
   }
+  const int n = request.tasks.size();
+  const auto m = static_cast<size_t>(num_cores);
 
   MpSimResult out;
-  out.mode = request.mode;
-  out.num_cores = num_cores;
-
-  auto init_cluster = [&](int num_stats) {
-    out.cluster.horizon_ms = request.options.horizon_ms;
-    out.cluster.task_stats.assign(static_cast<size_t>(num_stats), TaskStats{});
-    for (const OperatingPoint& point : request.cluster.machine.points()) {
-      out.cluster.residency.push_back(PointResidency{point, 0, 0, 0, 0});
-    }
-  };
-
-  if (num_cores == 1) {
-    // Mirror production routing: M = 1 is the single-core engine, whatever
-    // the requested mode.
-    out.admitted = true;
-    out.partition.feasible = true;
-    out.partition.core_of_task.assign(static_cast<size_t>(request.tasks.size()),
-                                      0);
-    out.partition.core_utilization = {request.tasks.TotalUtilization()};
-    out.partition.core_task_count = {request.tasks.size()};
-    out.partition.cores_used = 1;
-    out.core_tasks = {request.tasks};
-    out.core_global_ids.resize(1);
-    for (int id = 0; id < request.tasks.size(); ++id) {
-      out.core_global_ids[0].push_back(id);
-    }
-    out.cores.resize(1);
-    out.cores[0] =
-        RunReferenceSimulation(request.tasks, request.cluster.machine,
-                               *policies[0], exec_model, request.options, faults);
-    init_cluster(static_cast<int>(out.cores[0].task_stats.size()));
-    RefAccumulate(out.cores[0], out.core_global_ids[0], &out.cluster);
-    out.cluster.policy_name = RefClusterPolicyName(policies);
-    out.cluster.scheduler = policies.front()->scheduler_kind();
-    return out;
-  }
-
-  RTDVS_CHECK(request.options.aperiodic.kind == ServerKind::kNone)
-      << "aperiodic servers are supported only at num_cores == 1";
-
-  if (request.mode == MpMode::kGlobal) {
-    for (const auto& policy : policies) {
-      RTDVS_CHECK(policy->scheduler_kind() == policies.front()->scheduler_kind())
+  if (request.mode == MpMode::kGlobal && num_cores > 1) {
+    for (SchedulerKind kind : kinds) {
+      RTDVS_CHECK(kind == kinds.front())
           << "global mode needs one scheduler kind across all cores";
     }
-    return RefClusterEngine(request, policies, exec_model, faults).Run();
-  }
-
-  std::vector<SchedulerKind> kinds;
-  for (const auto& policy : policies) {
-    kinds.push_back(policy->scheduler_kind());
-  }
-  out.partition =
-      RefPartitionTasks(request.tasks, num_cores, request.partition, kinds);
-  out.cores.resize(static_cast<size_t>(num_cores));
-  if (!out.partition.feasible) {
-    out.admitted = false;
-    return out;
-  }
-  out.admitted = true;
-  out.core_tasks.assign(static_cast<size_t>(num_cores), TaskSet{});
-  out.core_global_ids.assign(static_cast<size_t>(num_cores), {});
-  for (int id = 0; id < request.tasks.size(); ++id) {
-    const int core = out.partition.core_of_task[static_cast<size_t>(id)];
-    out.core_tasks[static_cast<size_t>(core)].AddTask(request.tasks.task(id));
-    out.core_global_ids[static_cast<size_t>(core)].push_back(id);
-  }
-  init_cluster(request.tasks.size());
-  for (int core = 0; core < num_cores; ++core) {
-    const auto c = static_cast<size_t>(core);
-    if (out.core_tasks[c].empty()) {
-      out.cores[c] = RefPoweredDownSlice(request.cluster.machine, request.options);
-    } else {
-      SimOptions core_options = request.options;
-      core_options.seed = request.options.seed ^
-                          (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(core));
-      RefScopedExecModel scoped(&exec_model, &out.core_global_ids[c]);
-      out.cores[c] =
-          RunReferenceSimulation(out.core_tasks[c], request.cluster.machine,
-                                 *policies[c], scoped, core_options, faults);
+    out = RefEngine(request.tasks, request.cluster.machine, policies, exec_model,
+                    request.options, faults)
+              .Run();
+    out.admitted = true;
+    out.partition.feasible = true;
+    out.partition.cores_used = num_cores;
+    out.partition.core_of_task.assign(static_cast<size_t>(n), -1);
+    out.partition.core_utilization.assign(m, 0.0);
+    out.partition.core_task_count.assign(m, 0);
+    out.core_tasks.assign(m, request.tasks);
+    out.core_global_ids.assign(m, {});
+    for (std::vector<int>& ids : out.core_global_ids) {
+      for (int id = 0; id < n; ++id) {
+        ids.push_back(id);
+      }
     }
-    RefAccumulate(out.cores[c], out.core_global_ids[c], &out.cluster);
+  } else {
+    // Partitioned mode, and M = 1 in either mode (the whole set on its one
+    // core, mirroring production's routing): each core runs the engine
+    // over its own sub-set with its own seed.
+    out.partition =
+        RefPartitionTasks(request.tasks, num_cores, request.partition, kinds);
+    out.cores.resize(m);
+    out.admitted = out.partition.feasible;
+    if (out.admitted) {
+      out.core_tasks.assign(m, TaskSet{});
+      out.core_global_ids.assign(m, {});
+      for (int id = 0; id < n; ++id) {
+        const auto core =
+            static_cast<size_t>(out.partition.core_of_task[static_cast<size_t>(id)]);
+        out.core_tasks[core].AddTask(request.tasks.task(id));
+        out.core_global_ids[core].push_back(id);
+      }
+      out.cluster.horizon_ms = request.options.horizon_ms;
+      out.cluster.task_stats.assign(static_cast<size_t>(n), TaskStats{});
+      for (const OperatingPoint& point : request.cluster.machine.points()) {
+        out.cluster.residency.push_back(PointResidency{point, 0, 0, 0, 0});
+      }
+      for (size_t c = 0; c < m; ++c) {
+        if (out.core_tasks[c].empty()) {
+          out.cores[c] =
+              RefPoweredDownSlice(request.cluster.machine, request.options);
+        } else {
+          SimOptions core_options = request.options;
+          core_options.seed = request.options.seed ^ (0x9e3779b97f4a7c15ULL * c);
+          RefScopedExecModel scoped(&exec_model, &out.core_global_ids[c]);
+          out.cores[c] =
+              RunReferenceSimulation(out.core_tasks[c], request.cluster.machine,
+                                     *policies[c], scoped, core_options, faults);
+        }
+        RefAccumulate(out.cores[c], out.core_global_ids[c], &out.cluster);
+      }
+    }
   }
-  out.cluster.policy_name = RefClusterPolicyName(policies);
-  out.cluster.scheduler = policies.front()->scheduler_kind();
+  out.mode = request.mode;
+  out.num_cores = num_cores;
+  if (out.admitted) {
+    out.cluster.policy_name = RefClusterPolicyName(policies);
+    out.cluster.scheduler = kinds.front();
+  }
   return out;
 }
 

@@ -14,7 +14,11 @@
 //   - no incremental state: the ready queue, the policy context, and the
 //     next-event time are recomputed from scratch at every event;
 //   - the scheduler is reimplemented here as an explicit sort of the whole
-//     job list (production keeps a single-pass argmin in scheduler.cc);
+//     job list (production picks in one pass with ReadyQueue's
+//     PickTrackedSince and PickTopK, src/engine/ready_queue.h);
+//   - one engine runs every core count: M cores share one job list and take
+//     the top M jobs of that sort (M = 1 is the uniprocessor), so each rule
+//     of the contract below is stated once;
 //   - energy is integrated from first principles (w * V^2, t * f * V^2 *
 //     idle_level) instead of going through the EnergyModel class;
 //   - clarity over speed everywhere — this simulator is allowed to be an
@@ -27,8 +31,9 @@
 //     draw from the execution-time model in that order;
 //   - at every event, state changes apply as completions, then deadline
 //     misses, then releases; policy callbacks fire after all state changes,
-//     completions before releases, then timer wakeups, then one OnIdle per
-//     idle period;
+//     completions before releases, then timer wakeups, then (M = 1) one
+//     OnIdle per idle period; at M > 1 an idle core's OnIdle fires once per
+//     idle period, ahead of the next segment of real length;
 //   - an operating-point change halts the processor for switch_time_ms of
 //     wall time charged to switching_ms (zero energy), on both the busy and
 //     the idle path;
@@ -87,12 +92,14 @@ SimResult RunReferenceSimulation(const TaskSet& tasks, const MachineSpec& machin
 
 // Multiprocessor oracle for RunClusterSimulation, written under the same
 // design rules: the partitioned admission tables, the powered-down-core
-// slice, the per-core seed mixing, and the whole global-EDF dispatch loop
-// are reimplemented here from the contract in mp_simulator.h and
-// cluster.h rather than calling into src/engine/cluster.cc. Policies are
-// resolved from request.policy_ids (one fresh instance per core). M = 1
-// routes to the single-core reference engine, mirroring production's
-// routing. The fault knobs apply inside each core's engine so --inject-bug
+// slice, the per-core seed mixing, and the global dispatch (top-M pick,
+// core affinity, migrations) are reimplemented here from the contract in
+// mp_simulator.h and cluster.h rather than calling into
+// src/engine/cluster.cc. Policies are resolved from request.policy_ids (one
+// fresh instance per core). Global mode at M > 1 runs the engine with M
+// cores; partitioned mode runs it with one core per non-empty core, and
+// M = 1 in either mode runs it once over the whole set, mirroring
+// production's routing. The fault knobs apply at every M so --inject-bug
 // self-tests cover multiprocessor campaigns too. The cluster audit is not
 // run (cluster_audit.audited == false).
 MpSimResult RunReferenceClusterSimulation(const SimRequest& request,

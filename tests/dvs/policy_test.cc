@@ -24,6 +24,7 @@ TEST(PolicyFactory, ProducesPaperNamesAndSchedulers) {
       {"cc_rm", "ccRM", SchedulerKind::kRm, true},
       {"la_edf", "laEDF", SchedulerKind::kEdf, true},
       {"interval", "intervalDVS", SchedulerKind::kEdf, false},
+      {"stat_edf", "statEDF(p95)", SchedulerKind::kEdf, true},
   };
   for (const auto& expected : expectations) {
     auto policy = MakePolicy(expected.id);
@@ -38,7 +39,11 @@ TEST(PolicyFactory, ProducesPaperNamesAndSchedulers) {
 TEST(PolicyFactory, RejectsUnknownIds) {
   EXPECT_FALSE(IsValidPolicyId("bogus"));
   EXPECT_FALSE(IsValidPolicyId(""));
-  EXPECT_DEATH(MakePolicy("bogus"), "unknown policy id");
+  // The message names the id and lists every accepted one.
+  EXPECT_DEATH(MakePolicy("bogus"),
+               "unknown policy id 'bogus'; expected edf[|]rm[|]static_edf[|]"
+               "static_rm[|]static_rm_exact[|]cc_edf[|]cc_rm[|]la_edf[|]"
+               "interval[|]stat_edf");
 }
 
 TEST(PolicyFactory, PaperIdListMatchesTable4Order) {

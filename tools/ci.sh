@@ -211,6 +211,15 @@ stage_fuzz() {
     exit 1
   fi
   echo "fuzz self-check passed: injected bug detected"
+  # The same on 2-4 core clusters, so the global engine's fault path is
+  # checked too (its first divergent case is a global-mode run).
+  if build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=7 --cores=2,3,4 \
+      --inject-bug=idle-switch --no-properties --no-shrink \
+      --max-ms=30000 >/dev/null; then
+    echo "fuzz self-check FAILED: injected bug was not detected on clusters" >&2
+    exit 1
+  fi
+  echo "fuzz self-check passed: injected bug detected on clusters"
 }
 
 STAGE="${1:-all}"

@@ -196,7 +196,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   if (cores < 0 || cores > 64) {
-    std::fprintf(stderr, "error: --cores must be in 1..64\n");
+    std::fprintf(stderr,
+                 "error: --cores must be in 0..64 (0 keeps the scenario's value)\n");
     return 1;
   }
   std::optional<MpMode> mode_override;
@@ -387,11 +388,11 @@ int Main(int argc, char** argv) {
         exit_code = std::max(exit_code, 1);
       }
     }
-    // Statistical policies (interval, stat_edf) may miss by design; any
+    // Policies that do not guarantee deadlines may miss by design; any
     // other policy in the mix makes misses reportable.
     bool hard = false;
     for (const auto& id : run.policy_ids) {
-      hard |= id != "interval" && id != "stat_edf";
+      hard |= MakePolicy(id)->guarantees_deadlines();
     }
     if (result.cluster.deadline_misses > 0 && hard) {
       exit_code = std::max(exit_code, 2);
