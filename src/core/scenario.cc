@@ -1,8 +1,10 @@
 #include "src/core/scenario.h"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "src/cpu/machine_spec.h"
 #include "src/dvs/policy.h"
 #include "src/util/strings.h"
 
@@ -110,7 +112,6 @@ std::unique_ptr<ExecTimeModel> Scenario::MakeExecModel() const {
 
 std::variant<Scenario, std::string> ParseScenario(std::string_view text) {
   Scenario scenario;
-  bool saw_machine = false;
   int line_number = 0;
   std::istringstream stream{std::string(text)};
   std::string raw_line;
@@ -131,17 +132,12 @@ std::variant<Scenario, std::string> ParseScenario(std::string_view text) {
       if (fields.size() != 2) {
         return Error(line_number, "machine takes exactly one argument");
       }
-      for (const char* name : {"machine0", "machine1", "machine2", "k6"}) {
-        if (fields[1] == name) {
-          scenario.machine = MachineSpec::ByName(fields[1]);
-          saw_machine = true;
-          break;
-        }
+      std::optional<MachineSpec> machine = MachineSpec::FindByName(fields[1]);
+      if (!machine) {
+        return Error(line_number, "unknown machine '" + fields[1] + "' (" +
+                                      kMachineNames + ")");
       }
-      if (!saw_machine) {
-        return Error(line_number, "unknown machine '" + fields[1] +
-                                      "' (machine0|machine1|machine2|k6)");
-      }
+      scenario.machine = *machine;
       continue;
     }
 

@@ -107,7 +107,7 @@ ShardOutcome RunShard(const SweepOptions& options, double utilization,
             result.cluster.policy_name.c_str(), violation.message.c_str()));
       }
     };
-    add(result.cluster_audit);
+    add(result.cluster.audit);
     for (const SimResult& slice : result.cores) {
       add(slice.audit);
     }

@@ -121,7 +121,7 @@ MachineSpec MachineSpec::UniformGrid(size_t n, double v_min, double v_max) {
   return MachineSpec(StrFormat("grid%zu", n), std::move(points));
 }
 
-MachineSpec MachineSpec::ByName(const std::string& name) {
+std::optional<MachineSpec> MachineSpec::FindByName(const std::string& name) {
   if (name == "machine0") {
     return Machine0();
   }
@@ -134,9 +134,14 @@ MachineSpec MachineSpec::ByName(const std::string& name) {
   if (name == "k6") {
     return K6TwoPointFour();
   }
-  RTDVS_CHECK(false) << "unknown machine '" << name
-                     << "'; expected machine0|machine1|machine2|k6";
-  return Machine0();
+  return std::nullopt;
+}
+
+MachineSpec MachineSpec::ByName(const std::string& name) {
+  std::optional<MachineSpec> machine = FindByName(name);
+  RTDVS_CHECK(machine.has_value())
+      << "unknown machine '" << name << "'; expected " << kMachineNames;
+  return *machine;
 }
 
 }  // namespace rtdvs

@@ -15,6 +15,9 @@
 
 namespace rtdvs {
 
+// The names MachineSpec::FindByName knows, as shown in usage errors.
+inline constexpr char kMachineNames[] = "machine0|machine1|machine2|k6";
+
 class MachineSpec {
  public:
   // Points may be passed in any order; they are sorted by frequency.
@@ -58,8 +61,9 @@ class MachineSpec {
   // Ablation helper: n evenly spaced frequencies in (0, 1] with voltage
   // linear between v_min at the lowest point and v_max at 1.0.
   static MachineSpec UniformGrid(size_t n, double v_min, double v_max);
-  // Lookup by name ("machine0", "machine1", "machine2", "k6"); aborts on
-  // unknown names listing the valid ones.
+  // Lookup by name (one of kMachineNames); nullopt on unknown names.
+  static std::optional<MachineSpec> FindByName(const std::string& name);
+  // As FindByName, but aborts on unknown names listing the valid ones.
   static MachineSpec ByName(const std::string& name);
 
  private:

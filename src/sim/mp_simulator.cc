@@ -1,6 +1,7 @@
 #include "src/sim/mp_simulator.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/cpu/lower_bound.h"
@@ -29,6 +30,11 @@ class CoreExecModelAdapter : public ExecTimeModel {
   double DrawFraction(int task_id, int64_t invocation, Pcg32& rng) override {
     return inner_->DrawFraction((*global_ids_)[static_cast<size_t>(task_id)],
                                 invocation, rng);
+  }
+  // A constant model is constant under any id mapping; forwarding it keeps
+  // each core's Simulator on its no-draw release path.
+  std::optional<double> constant_fraction() const override {
+    return inner_->constant_fraction();
   }
 
  private:
@@ -293,8 +299,7 @@ MpSimResult RunClusterSimulation(const SimRequest& request,
     out.cluster.policy_counters.migrations = out.migrations;
     if (request.options.audit) {
       RTDVS_PROF_SCOPE("sweep/audit");
-      out.cluster_audit = AuditMpResult(out, request.options);
-      out.cluster.audit = out.cluster_audit;
+      out.cluster.audit = AuditMpResult(out, request.options);
     }
   }
   return out;
@@ -350,8 +355,8 @@ JsonValue MpSimResultToJson(const MpSimResult& result) {
     return doc;
   }
   doc.Set("cluster", SliceToJson(result.cluster));
-  if (result.cluster_audit.audited) {
-    doc.Set("cluster_audit_ok", result.cluster_audit.ok());
+  if (result.cluster.audit.audited) {
+    doc.Set("cluster_audit_ok", result.cluster.audit.ok());
   }
   JsonValue cores = JsonValue::Array();
   for (const SimResult& slice : result.cores) {

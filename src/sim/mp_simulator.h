@@ -96,12 +96,11 @@ struct MpSimResult {
   // Cluster totals: energy/time/work/residency sums over slices, job
   // counters summed (partitioned) or held here directly (global), policy
   // counters merged, lower_bound_energy the cluster-level §3.2 bound.
+  // cluster.audit is the cluster-conservation audit (AuditCheck::kCluster
+  // and the cluster lower bound); per-core slices carry their own
+  // single-core audits in partitioned mode.
   SimResult cluster;
   int64_t migrations = 0;  // global mode; 0 in partitioned mode
-  // Cluster-conservation audit (AuditCheck::kCluster and the cluster lower
-  // bound); also copied into cluster.audit. Per-core slices carry their own
-  // single-core audits in partitioned mode.
-  AuditReport cluster_audit;
 };
 
 // Runs the request with per-core policies resolved from request.policy_ids

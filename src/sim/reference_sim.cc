@@ -128,6 +128,18 @@ struct RefEngine {
   std::vector<RefJob> held_last;
   Pcg32 rng;
   double now = 0;
+  // Per-event scratch: each buffer is cleared and refilled from scratch at
+  // every use, so no value carries from one event to the next; keeping the
+  // buffers only spares their allocations.
+  struct Scratch {
+    std::vector<int> order;      // PickTopJobs: unfinished jobs by priority
+    std::vector<int> picked;     // PickTopJobs: the up-to-M jobs dispatched
+    std::vector<int> core_job;   // AssignCores: job index per core, -1 idle
+    std::vector<double> chosen_release;  // BuildContext
+    PolicyContext ctx;                   // BuildContext
+    std::vector<int> completed;  // ProcessCompletions: task ids
+    std::vector<int> released;   // ProcessReleases: task ids
+  } scratch;
   // Time, energy, residency, switches and policy counters go on each core's
   // slice (out.cores). Job outcomes (releases, completions, misses, task
   // stats, preemptions, overruns) and the lower bound go to *jobs_out: the
@@ -157,8 +169,9 @@ struct RefEngine {
   // the scheduler's priority order, then take the up-to-M first jobs of
   // distinct tasks. EDF rank: (absolute deadline, task id, release). RM
   // rank: (period, task id, release). ---
-  std::vector<int> PickTopJobs() const {
-    std::vector<int> order;
+  const std::vector<int>& PickTopJobs() {
+    std::vector<int>& order = scratch.order;
+    order.clear();
     for (int i = 0; i < static_cast<int>(jobs.size()); ++i) {
       if (!jobs[static_cast<size_t>(i)].finished) {
         order.push_back(i);
@@ -177,7 +190,8 @@ struct RefEngine {
       }
       return a.release_ms < b.release_ms;
     });
-    std::vector<int> picked;
+    std::vector<int>& picked = scratch.picked;
+    picked.clear();
     for (int index : order) {
       if (static_cast<int>(picked.size()) == num_cores) {
         break;
@@ -195,8 +209,9 @@ struct RefEngine {
   // Affinity assignment: keep a job on its previous core when free, then
   // fill free cores lowest-index-first in priority order. Off-core landings
   // count migrations.
-  std::vector<int> AssignCores(const std::vector<int>& picked) {
-    std::vector<int> core_job(static_cast<size_t>(num_cores), -1);
+  const std::vector<int>& AssignCores(const std::vector<int>& picked) {
+    std::vector<int>& core_job = scratch.core_job;
+    core_job.assign(static_cast<size_t>(num_cores), -1);
     for (int job_index : picked) {
       const int prev = jobs[static_cast<size_t>(job_index)].last_core;
       if (prev >= 0 && core_job[static_cast<size_t>(prev)] < 0) {
@@ -249,8 +264,12 @@ struct RefEngine {
   }
 
   // --- Policy context, recomputed from scratch at every call. ---
-  PolicyContext BuildContext() const {
-    PolicyContext ctx;
+  const PolicyContext& BuildContext() {
+    // Reset every field; only the views' storage survives.
+    PolicyContext& ctx = scratch.ctx;
+    std::vector<TaskRuntimeView> views = std::move(ctx.views);
+    ctx = PolicyContext{};
+    ctx.views = std::move(views);
     ctx.now_ms = now;
     ctx.tasks = &tasks;
     ctx.machine = &machine;
@@ -259,7 +278,7 @@ struct RefEngine {
       ctx.cumulative_idle_ms += slice.idle_ms;
       ctx.cumulative_work += slice.total_work_executed;
     }
-    ctx.views.resize(static_cast<size_t>(num_tasks()));
+    ctx.views.assign(static_cast<size_t>(num_tasks()), TaskRuntimeView{});
     for (int id = 0; id < num_tasks(); ++id) {
       auto& view = ctx.views[static_cast<size_t>(id)];
       view.has_active_job = false;
@@ -271,7 +290,8 @@ struct RefEngine {
     }
     // The "current invocation" of a task is its earliest-released unfinished
     // job.
-    std::vector<double> chosen_release(static_cast<size_t>(num_tasks()), kInf);
+    std::vector<double>& chosen_release = scratch.chosen_release;
+    chosen_release.assign(static_cast<size_t>(num_tasks()), kInf);
     for (const RefJob& job : jobs) {
       if (job.finished) {
         continue;
@@ -368,10 +388,11 @@ struct RefEngine {
     }
   }
 
-  // Completions due at `now`; returns affected task ids in job-creation
-  // order (the callback order of the contract).
-  std::vector<int> ProcessCompletions() {
-    std::vector<int> completed;
+  // Completions due at `now`; fills scratch.completed with the affected task
+  // ids in job-creation order (the callback order of the contract).
+  void ProcessCompletions() {
+    std::vector<int>& completed = scratch.completed;
+    completed.clear();
     for (RefJob& job : jobs) {
       if (!job.finished && job.actual_work - job.executed_work <= kWorkEps) {
         job.finished = true;
@@ -385,7 +406,6 @@ struct RefEngine {
         completed.push_back(job.task_id);
       }
     }
-    return completed;
   }
 
   void ProcessMisses() {
@@ -405,10 +425,12 @@ struct RefEngine {
     }
   }
 
-  // Releases due at `now`, in task-id order; one execution-model draw per
-  // release (this order defines how the model consumes randomness).
-  std::vector<int> ProcessReleases() {
-    std::vector<int> released;
+  // Releases due at `now`, in task-id order, listed in scratch.released; one
+  // execution-model draw per release (this order defines how the model
+  // consumes randomness).
+  void ProcessReleases() {
+    std::vector<int>& released = scratch.released;
+    released.clear();
     for (int id = 0; id < num_tasks(); ++id) {
       auto i = static_cast<size_t>(id);
       const Task& task = tasks.task(id);
@@ -433,7 +455,6 @@ struct RefEngine {
         released.push_back(id);
       }
     }
-    return released;
   }
 
   MpSimResult Run() {
@@ -474,20 +495,20 @@ struct RefEngine {
     std::vector<std::optional<double>> wakeup(m);
     std::vector<char> was_idle(m, 0);
     {
-      PolicyContext ctx = BuildContext();
+      const PolicyContext& ctx = BuildContext();
       for (size_t c = 0; c < m; ++c) {
         policies[c]->OnStart(ctx, speeds[c]);
       }
     }
     {
-      PolicyContext ctx = BuildContext();
+      const PolicyContext& ctx = BuildContext();
       for (size_t c = 0; c < m; ++c) {
         wakeup[c] = policies[c]->NextWakeupMs(ctx);
       }
     }
 
     while (now < options.horizon_ms - kTimeEpsMs) {
-      const std::vector<int> core_job = AssignCores(PickTopJobs());
+      const std::vector<int>& core_job = AssignCores(PickTopJobs());
       CountPreemptions(core_job);
       const double t_next = NextEventTime(core_job, speeds, wakeup);
 
@@ -500,15 +521,12 @@ struct RefEngine {
             any = true;
           }
         }
-        PolicyContext ctx;
-        if (any) {
-          ctx = BuildContext();
-        }
+        const PolicyContext* ctx = any ? &BuildContext() : nullptr;
         for (size_t c = 0; c < m; ++c) {
           if (core_job[c] >= 0) {
             was_idle[c] = 0;
           } else if (!was_idle[c]) {
-            policies[c]->OnIdle(ctx, speeds[c]);
+            policies[c]->OnIdle(*ctx, speeds[c]);
             was_idle[c] = 1;
           }
         }
@@ -525,28 +543,27 @@ struct RefEngine {
 
       // State changes due at `now`: completions, then misses, then
       // releases (the miss_before_completion fault inverts the first two).
-      std::vector<int> completed;
       if (faults.miss_before_completion_bug) {
         ProcessMisses();
-        completed = ProcessCompletions();
+        ProcessCompletions();
       } else {
-        completed = ProcessCompletions();
+        ProcessCompletions();
         ProcessMisses();
       }
-      std::vector<int> released = ProcessReleases();
+      ProcessReleases();
       jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
                                 [](const RefJob& job) { return job.finished; }),
                  jobs.end());
 
       // Policy callbacks after all state changes: completions first, then
       // releases, then any due timer wakeup, each on every core.
-      PolicyContext ctx = BuildContext();
-      for (int task_id : completed) {
+      const PolicyContext& ctx = BuildContext();
+      for (int task_id : scratch.completed) {
         for (size_t c = 0; c < m; ++c) {
           policies[c]->OnTaskCompletion(task_id, ctx, speeds[c]);
         }
       }
-      for (int task_id : released) {
+      for (int task_id : scratch.released) {
         for (size_t c = 0; c < m; ++c) {
           policies[c]->OnTaskRelease(task_id, ctx, speeds[c]);
         }

@@ -12,7 +12,8 @@
 // Design rules for this file, deliberately opposite to the production
 // engine's:
 //   - no incremental state: the ready queue, the policy context, and the
-//     next-event time are recomputed from scratch at every event;
+//     next-event time are recomputed from scratch at every event (into
+//     reused buffers that carry no values from one event to the next);
 //   - the scheduler is reimplemented here as an explicit sort of the whole
 //     job list (production picks in one pass with ReadyQueue's
 //     PickTrackedSince and PickTopK, src/engine/ready_queue.h);
@@ -101,7 +102,7 @@ SimResult RunReferenceSimulation(const TaskSet& tasks, const MachineSpec& machin
 // M = 1 in either mode runs it once over the whole set, mirroring
 // production's routing. The fault knobs apply at every M so --inject-bug
 // self-tests cover multiprocessor campaigns too. The cluster audit is not
-// run (cluster_audit.audited == false).
+// run (cluster.audit.audited == false).
 MpSimResult RunReferenceClusterSimulation(const SimRequest& request,
                                           ExecTimeModel& exec_model,
                                           const ReferenceFaults& faults = {});

@@ -130,9 +130,9 @@ bool ResultsAgree(const SimResult& production, const SimResult& reference,
   return agreed;
 }
 
-std::vector<PropertyViolation> CheckMetamorphicProperties(const FuzzCase& c) {
+std::vector<PropertyViolation> CheckMetamorphicProperties(const FuzzCase& c,
+                                                          const SimResult& base) {
   std::vector<PropertyViolation> violations;
-  const SimResult base = RunProduction(c, c.policy_id);
 
   // Property: exec energy >= the §3.2 theoretical bound for the actually
   // executed workload. Holds unconditionally — the bound is computed for
@@ -302,9 +302,8 @@ bool MpResultsAgree(const MpSimResult& production, const MpSimResult& reference,
   return agreed;
 }
 
-MpDifferentialRun RunMpDifferentialCase(const FuzzCase& c,
-                                        const ReferenceFaults& faults) {
-  MpDifferentialRun run;
+DifferentialRun RunDifferentialCase(const FuzzCase& c, const ReferenceFaults& faults) {
+  DifferentialRun run;
   SimRequest request = FuzzSimRequest(c);
   auto production_model = MakeFuzzExecModel(c.exec_spec);
   auto reference_model = MakeFuzzExecModel(c.exec_spec);
@@ -315,43 +314,17 @@ MpDifferentialRun RunMpDifferentialCase(const FuzzCase& c,
   return run;
 }
 
-DifferentialRun RunDifferentialCase(const FuzzCase& c, const ReferenceFaults& faults) {
-  RTDVS_CHECK(c.num_cores == 1) << "RunDifferentialCase is single-core; use "
-                                   "RunMpDifferentialCase for clusters";
-  DifferentialRun run;
-  TaskSet tasks = FuzzTasks(c);
-  MachineSpec machine = FuzzMachine(c);
-  SimOptions options = FuzzSimOptions(c);
-  auto production_model = MakeFuzzExecModel(c.exec_spec);
-  auto reference_model = MakeFuzzExecModel(c.exec_spec);
-  RTDVS_CHECK(production_model != nullptr) << "bad exec spec: " << c.exec_spec;
-  run.production = RunSimulation(tasks, machine, c.policy_id, *production_model, options);
-  run.reference = RunReferenceSimulation(tasks, machine, c.policy_id, *reference_model,
-                                         options, faults);
-  run.agreed = ResultsAgree(run.production, run.reference, &run.diffs);
-  return run;
-}
-
 TrialOutcome RunFuzzTrial(const FuzzCase& c, bool check_properties,
                           const ReferenceFaults& faults) {
   TrialOutcome outcome;
-  bool agreed = false;
-  if (c.num_cores > 1) {
-    MpDifferentialRun run = RunMpDifferentialCase(c, faults);
-    outcome.diffs = std::move(run.diffs);
-    agreed = run.agreed;
-    // The metamorphic properties are single-core theorems; none of them
-    // holds (or is even well-defined) for cluster schedules, so MP trials
-    // are differential-only.
-  } else {
-    DifferentialRun run = RunDifferentialCase(c, faults);
-    outcome.diffs = std::move(run.diffs);
-    agreed = run.agreed;
-    if (check_properties) {
-      outcome.violations = CheckMetamorphicProperties(c);
-    }
+  DifferentialRun run = RunDifferentialCase(c, faults);
+  outcome.diffs = std::move(run.diffs);
+  // The metamorphic properties are single-core theorems; none of them holds
+  // (or is even well-defined) for cluster schedules.
+  if (check_properties && c.num_cores == 1) {
+    outcome.violations = CheckMetamorphicProperties(c, run.production.cores[0]);
   }
-  outcome.ok = agreed && outcome.violations.empty();
+  outcome.ok = run.agreed && outcome.violations.empty();
   return outcome;
 }
 

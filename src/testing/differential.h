@@ -1,8 +1,15 @@
-// Differential comparison of the production simulator (src/sim/simulator.cc)
-// against the reference oracle (src/sim/reference_sim.cc), plus the
-// metamorphic properties the fuzz campaign checks alongside it.
+// Differential comparison of the production cluster driver
+// (src/sim/mp_simulator.cc over src/sim/simulator.cc) against the reference
+// oracle (src/sim/reference_sim.cc), plus the metamorphic properties the
+// fuzz campaign checks alongside it.
 //
-// Comparison contract:
+// Every FuzzCase takes one path, whatever its core count: FuzzSimRequest(c)
+// runs through RunClusterSimulation and RunReferenceClusterSimulation, and
+// MpResultsAgree compares the two. A one-core case therefore also exercises
+// the one-core cluster wrapper every sweep run goes through: its partition
+// report and cluster totals are compared, and its cluster audit runs.
+//
+// Comparison contract (per slice and for the cluster totals):
 //   - event counters (releases, completions, misses, aborts, unfinished,
 //     overruns, speed switches, preemptions) must agree exactly;
 //   - energies, times and work must agree within 1e-9 absolute plus a tiny
@@ -43,12 +50,16 @@ struct PropertyViolation {
   std::string detail;    // human-readable numbers
 };
 
-// Runs whichever of the four properties the case's preconditions admit:
+// Runs whichever of the four properties the case's preconditions admit
+// against `base`, the production result of the one-core case `c` itself
+// (RunFuzzTrial passes its differential run's only slice, so the case is
+// not simulated twice):
 //   energy-lower-bound      exec energy >= the §3.2 bound
 //   nodvs-vs-static         E(edf) >= E(static_edf) on guaranteed sets
 //   task-reorder            totals invariant under reversing the task order
 //   grid-refinement         refining the frequency grid never costs energy
-std::vector<PropertyViolation> CheckMetamorphicProperties(const FuzzCase& c);
+std::vector<PropertyViolation> CheckMetamorphicProperties(const FuzzCase& c,
+                                                          const SimResult& base);
 
 // Outcome of one full fuzz trial (differential run + optional properties).
 struct TrialOutcome {
@@ -59,42 +70,31 @@ struct TrialOutcome {
   std::string Describe() const;
 };
 
-// Runs the case through both engines (injecting `faults` into the reference)
-// and compares; when `check_properties` is set, also runs the metamorphic
-// properties against the production engine. Cases with num_cores > 1 run
-// through the cluster engines (MpResultsAgree contract); the metamorphic
-// properties are single-core theorems and are skipped for them.
+// Runs the case through RunDifferentialCase (injecting `faults` into the
+// reference); when `check_properties` is set and the case has one core, also
+// checks the metamorphic properties on the production result. They are
+// single-core theorems, so cluster cases are differential-only.
 TrialOutcome RunFuzzTrial(const FuzzCase& c, bool check_properties = true,
                           const ReferenceFaults& faults = {});
 
-// The differential half only, returning both results for inspection.
-// Requires num_cores == 1; multiprocessor cases use RunMpDifferentialCase.
-struct DifferentialRun {
-  SimResult production;
-  SimResult reference;
-  bool agreed = false;
-  std::vector<FieldDiff> diffs;
-};
-DifferentialRun RunDifferentialCase(const FuzzCase& c,
-                                    const ReferenceFaults& faults = {});
-
 // Cluster-level agreement: admission verdict, partition assignment,
 // migrations and cores_used exactly; the cluster totals and every per-core
-// slice under the single-core ResultsAgree contract (fields prefixed
-// "cluster." / "core[c]."). Both results must describe the same request.
+// slice under the ResultsAgree contract (fields prefixed "cluster." /
+// "core[c]."). Both results must describe the same request.
 bool MpResultsAgree(const MpSimResult& production, const MpSimResult& reference,
                     std::vector<FieldDiff>* diffs = nullptr);
 
-// Multiprocessor differential run: production RunClusterSimulation vs the
-// reference cluster oracle on the case's SimRequest (any num_cores >= 1).
-struct MpDifferentialRun {
+// The differential half only, returning both results for inspection:
+// production RunClusterSimulation vs the reference cluster oracle on the
+// case's SimRequest, any num_cores >= 1.
+struct DifferentialRun {
   MpSimResult production;
   MpSimResult reference;
   bool agreed = false;
   std::vector<FieldDiff> diffs;
 };
-MpDifferentialRun RunMpDifferentialCase(const FuzzCase& c,
-                                        const ReferenceFaults& faults = {});
+DifferentialRun RunDifferentialCase(const FuzzCase& c,
+                                    const ReferenceFaults& faults = {});
 
 }  // namespace rtdvs
 

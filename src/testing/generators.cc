@@ -390,21 +390,20 @@ std::vector<Task> GenerateFuzzTasks(Pcg32& rng, int num_tasks,
 }
 
 FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options) {
-  RTDVS_CHECK_GE(options.min_tasks, 1);
-  RTDVS_CHECK_GE(options.max_tasks, options.min_tasks);
+  RTDVS_CHECK_GE(options.max_tasks, kFuzzMinTasks);
   FuzzCase c;
   const std::vector<std::string>& pool =
       options.policy_pool.empty() ? AllPaperPolicyIds() : options.policy_pool;
   c.policy_id = pool[rng.NextBounded(static_cast<uint32_t>(pool.size()))];
-  c.machine_points = GenerateMachinePoints(rng, options.max_machine_points);
+  c.machine_points = GenerateMachinePoints(rng);
 
-  int num_tasks = options.min_tasks +
+  int num_tasks = kFuzzMinTasks +
                   static_cast<int>(rng.NextBounded(static_cast<uint32_t>(
-                      options.max_tasks - options.min_tasks + 1)));
-  double target = rng.UniformDouble(options.min_target_utilization,
-                                    options.max_target_utilization);
+                      options.max_tasks - kFuzzMinTasks + 1)));
+  // Targets above 1 admit mildly overloaded sets (miss/backlog paths).
+  double target = rng.UniformDouble(0.15, 1.1);
   bool harmonic = rng.NextDouble() < 0.4;
-  c.tasks = GenerateFuzzTasks(rng, num_tasks, target, harmonic, options.allow_phases);
+  c.tasks = GenerateFuzzTasks(rng, num_tasks, target, harmonic, /*allow_phases=*/true);
 
   // Demand model: mostly constants and uniforms; occasionally a cold-start
   // overrun (the §4.3 regime where guarantees are void).
@@ -425,7 +424,7 @@ FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options) {
       c.exec_spec = "c:0.5";
       break;
     default:
-      c.exec_spec = options.allow_overrun ? "cold:1.5,1" : "cold:1.5,0";
+      c.exec_spec = "cold:1.5,1";
       break;
   }
 
@@ -434,18 +433,15 @@ FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options) {
     max_period = std::max(max_period, task.period_ms + task.phase_ms);
   }
   c.horizon_ms = SnapMicro(std::max(
-      rng.UniformDouble(options.min_horizon_ms, options.max_horizon_ms),
+      rng.UniformDouble(50.0, 400.0),
       2.2 * max_period));
 
   static const double kIdleLevels[] = {0.0, 0.0, 0.1, 0.5};
   c.idle_level = kIdleLevels[rng.NextBounded(4)];
-  if (options.allow_switch_cost) {
-    static const double kSwitchCosts[] = {0.0, 0.0, 0.1, 0.5};
-    c.switch_time_ms = kSwitchCosts[rng.NextBounded(4)];
-  }
-  c.miss_policy = (options.allow_abort_miss && rng.NextDouble() < 0.25)
-                      ? MissPolicy::kAbortJob
-                      : MissPolicy::kContinueLate;
+  static const double kSwitchCosts[] = {0.0, 0.0, 0.1, 0.5};
+  c.switch_time_ms = kSwitchCosts[rng.NextBounded(4)];
+  c.miss_policy =
+      rng.NextDouble() < 0.25 ? MissPolicy::kAbortJob : MissPolicy::kContinueLate;
   c.seed = (static_cast<uint64_t>(rng.NextU32()) << 32) | rng.NextU32();
 
   // Multiprocessor draws come LAST, and only when the caller opted into a
@@ -466,12 +462,15 @@ FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options) {
           PartitionHeuristic::kBestFit, PartitionHeuristic::kWorstFit};
       c.mp_partition = kHeuristics[rng.NextBounded(4)];
       // Rescale the workload to the cluster: M cores want roughly M times
-      // the tasks and utilization (0.9 keeps most partitioned draws
-      // feasible while still generating some admission rejections).
-      const int scaled_tasks = std::min(num_tasks * c.num_cores, 24);
+      // the tasks (capped at 24, or at max_tasks when that is larger, so
+      // large-set campaigns reach their own ceiling) and the utilization
+      // (0.9 keeps most partitioned draws feasible while still generating
+      // some admission rejections).
+      const int scaled_tasks =
+          std::min(num_tasks * c.num_cores, std::max(24, options.max_tasks));
       const double scaled_target = target * static_cast<double>(c.num_cores) * 0.9;
       c.tasks = GenerateFuzzTasks(rng, scaled_tasks, scaled_target, harmonic,
-                                  options.allow_phases);
+                                  /*allow_phases=*/true);
       double mp_max_period = 0;
       for (const Task& task : c.tasks) {
         mp_max_period = std::max(mp_max_period, task.period_ms + task.phase_ms);

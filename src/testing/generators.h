@@ -83,23 +83,15 @@ std::optional<FuzzCase> ParseRepro(const std::string& repro, std::string* error 
 bool FuzzCaseEquals(const FuzzCase& a, const FuzzCase& b);
 
 // --- Generation ---
+// The smallest task count a generated case draws.
+inline constexpr int kFuzzMinTasks = 1;
+
 struct FuzzGenOptions {
   // Policies to draw from; empty means the paper's six (AllPaperPolicyIds).
   std::vector<std::string> policy_pool;
-  int min_tasks = 1;
+  // Cases draw kFuzzMinTasks..max_tasks tasks; a cluster case rescales that
+  // count by its core count, capped at max(24, max_tasks).
   int max_tasks = 8;
-  double min_horizon_ms = 50.0;
-  double max_horizon_ms = 400.0;
-  // Machines get 1..max_machine_points operating points; 1 yields the
-  // degenerate single-point grid {1.0}.
-  int max_machine_points = 10;
-  double min_target_utilization = 0.15;
-  // > 1 admits mildly overloaded sets, exercising miss/backlog paths.
-  double max_target_utilization = 1.1;
-  bool allow_switch_cost = true;
-  bool allow_overrun = true;
-  bool allow_abort_miss = true;
-  bool allow_phases = true;
   // Cluster sizes to draw from. The default {1} keeps generation
   // byte-identical to the pre-cluster generator (no extra rng draws at
   // all); any other pool draws the multiprocessor parameters AFTER every
@@ -111,6 +103,10 @@ struct FuzzGenOptions {
 
 // Draws one scenario. Deterministic in the rng state: the same seeded rng
 // produces the same case, independent of any other draws in the process.
+// Every case draws 1..10 operating points, a target utilization in
+// [0.15, 1.1], a 50..400 ms horizon (stretched to 2.2 times its longest
+// period plus phase), and may get phases, switch costs, cold-start overruns
+// and abort-on-miss.
 FuzzCase GenerateFuzzCase(Pcg32& rng, const FuzzGenOptions& options = {});
 
 // Building blocks, exposed for targeted tests:

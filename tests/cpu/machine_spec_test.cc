@@ -1,6 +1,11 @@
 #include "src/cpu/machine_spec.h"
 
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "src/util/strings.h"
 
 namespace rtdvs {
 namespace {
@@ -83,6 +88,16 @@ TEST(MachineSpec, UniformGridSpansRange) {
 TEST(MachineSpec, ByNameRoundTrips) {
   EXPECT_EQ(MachineSpec::ByName("machine1").num_points(), 4u);
   EXPECT_EQ(MachineSpec::ByName("k6").name(), "k6");
+}
+
+TEST(MachineSpec, FindByNameKnowsEveryListedNameAndNothingElse) {
+  for (const std::string& name : Split(kMachineNames, '|')) {
+    std::optional<MachineSpec> machine = MachineSpec::FindByName(name);
+    ASSERT_TRUE(machine.has_value()) << name;
+    EXPECT_EQ(machine->points(), MachineSpec::ByName(name).points());
+  }
+  EXPECT_FALSE(MachineSpec::FindByName("bogus").has_value());
+  EXPECT_FALSE(MachineSpec::FindByName("").has_value());
 }
 
 TEST(MachineSpecDeathTest, RejectsInvalidSpecs) {

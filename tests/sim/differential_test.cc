@@ -1,8 +1,9 @@
 // Differential test: the production simulator and the reference oracle must
-// produce identical summaries on the paper's worked example (scenario 0),
-// on 200 generated scenarios across all six paper policies and all three
-// paper machines, and on the nastiest shrunken cases past fuzz campaigns
-// produced. See src/sim/reference_sim.h for the oracle's design rules.
+// produce identical summaries, through the one-core cluster path every fuzz
+// trial takes (RunDifferentialCase), on the paper's worked example
+// (scenario 0), on 200 generated scenarios across all six paper policies and
+// all three paper machines, and on the nastiest shrunken cases past fuzz
+// campaigns produced. See src/sim/reference_sim.h for the oracle's design rules.
 #include <string>
 #include <vector>
 
@@ -56,11 +57,11 @@ TEST(DifferentialTest, Scenario0MatchesPaperEnergies) {
   FuzzCase c = PaperExampleCase("static_edf");
   DifferentialRun run = RunDifferentialCase(c);
   ASSERT_TRUE(run.agreed) << DescribeDiffs(run.diffs);
-  EXPECT_NEAR(run.reference.exec_energy, 112.0, 0.5);
+  EXPECT_NEAR(run.reference.cores[0].exec_energy, 112.0, 0.5);
   c.policy_id = "cc_edf";
   run = RunDifferentialCase(c);
   ASSERT_TRUE(run.agreed) << DescribeDiffs(run.diffs);
-  EXPECT_NEAR(run.reference.exec_energy, 91.0, 0.5);
+  EXPECT_NEAR(run.reference.cores[0].exec_energy, 91.0, 0.5);
 }
 
 TEST(DifferentialTest, TwoHundredGeneratedScenariosAcrossPoliciesAndMachines) {

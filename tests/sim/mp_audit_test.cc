@@ -67,8 +67,8 @@ TEST(MpAuditTest, SingleCoreGlobalRunPasses) {
   MpSimResult result = RunClusterSimulation(request, model);
   ASSERT_TRUE(result.admitted);
   ASSERT_GT(result.cores[0].releases, 0);
-  EXPECT_TRUE(result.cluster_audit.audited);
-  EXPECT_TRUE(result.cluster_audit.ok()) << result.cluster_audit.Summary();
+  EXPECT_TRUE(result.cluster.audit.audited);
+  EXPECT_TRUE(result.cluster.audit.ok()) << result.cluster.audit.Summary();
   // The sum check still applies: a slice counter that disagrees fires it.
   result.cluster.completions += 1;
   AuditReport report = AuditMpResult(result, request.options);

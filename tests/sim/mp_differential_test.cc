@@ -55,7 +55,7 @@ TEST(MpDifferentialTest, PartitionedAgreesForAllPoliciesAndHeuristics) {
          {PartitionHeuristic::kFirstFit, PartitionHeuristic::kNextFit,
           PartitionHeuristic::kBestFit, PartitionHeuristic::kWorstFit}) {
       FuzzCase c = ClusterCase(policy_id, 2, MpMode::kPartitioned, fit);
-      MpDifferentialRun run = RunMpDifferentialCase(c);
+      DifferentialRun run = RunDifferentialCase(c);
       EXPECT_TRUE(run.agreed)
           << "policy " << policy_id << " fit " << PartitionHeuristicName(fit)
           << "\n" << DescribeDiffs(run.diffs);
@@ -67,7 +67,7 @@ TEST(MpDifferentialTest, GlobalAgreesForAllPolicies) {
   for (const std::string& policy_id : AllPaperPolicyIds()) {
     FuzzCase c = ClusterCase(policy_id, 2, MpMode::kGlobal,
                              PartitionHeuristic::kFirstFit);
-    MpDifferentialRun run = RunMpDifferentialCase(c);
+    DifferentialRun run = RunDifferentialCase(c);
     EXPECT_TRUE(run.agreed) << "policy " << policy_id << "\n"
                             << DescribeDiffs(run.diffs);
   }
@@ -78,7 +78,7 @@ TEST(MpDifferentialTest, InfeasiblePartitionAgrees) {
                            PartitionHeuristic::kFirstFit);
   // Three tasks of U = 0.7: no pair shares an EDF core.
   c.tasks = {{"", 10.0, 7.0, 0.0}, {"", 10.0, 7.0, 0.0}, {"", 10.0, 7.0, 0.0}};
-  MpDifferentialRun run = RunMpDifferentialCase(c);
+  DifferentialRun run = RunDifferentialCase(c);
   EXPECT_TRUE(run.agreed) << DescribeDiffs(run.diffs);
   EXPECT_FALSE(run.production.admitted);
   EXPECT_FALSE(run.reference.admitted);
@@ -93,9 +93,9 @@ TEST(MpDifferentialTest, InjectedFaultIsDetectedOnClusters) {
   c.exec_spec = "u:0,1";
   ReferenceFaults faults;
   faults.idle_path_switch_bug = true;
-  MpDifferentialRun clean = RunMpDifferentialCase(c);
+  DifferentialRun clean = RunDifferentialCase(c);
   ASSERT_TRUE(clean.agreed) << DescribeDiffs(clean.diffs);
-  MpDifferentialRun faulty = RunMpDifferentialCase(c, faults);
+  DifferentialRun faulty = RunDifferentialCase(c, faults);
   EXPECT_FALSE(faulty.agreed)
       << "fault injection produced no divergence; the MP differential "
          "pipeline cannot be trusted to detect real bugs";
@@ -109,9 +109,9 @@ TEST(MpDifferentialTest, InjectedFaultsAreDetectedInGlobalMode) {
   idle_case.exec_spec = "u:0,1";
   ReferenceFaults idle_fault;
   idle_fault.idle_path_switch_bug = true;
-  MpDifferentialRun clean = RunMpDifferentialCase(idle_case);
+  DifferentialRun clean = RunDifferentialCase(idle_case);
   ASSERT_TRUE(clean.agreed) << DescribeDiffs(clean.diffs);
-  EXPECT_FALSE(RunMpDifferentialCase(idle_case, idle_fault).agreed)
+  EXPECT_FALSE(RunDifferentialCase(idle_case, idle_fault).agreed)
       << "idle_path_switch_bug went undetected; repro: "
       << FuzzCaseToRepro(idle_case);
 
@@ -123,10 +123,10 @@ TEST(MpDifferentialTest, InjectedFaultsAreDetectedInGlobalMode) {
   miss_case.exec_spec = "c:1";
   ReferenceFaults miss_fault;
   miss_fault.miss_before_completion_bug = true;
-  clean = RunMpDifferentialCase(miss_case);
+  clean = RunDifferentialCase(miss_case);
   ASSERT_TRUE(clean.agreed) << DescribeDiffs(clean.diffs);
   EXPECT_EQ(clean.reference.cluster.deadline_misses, 0);
-  MpDifferentialRun faulty = RunMpDifferentialCase(miss_case, miss_fault);
+  DifferentialRun faulty = RunDifferentialCase(miss_case, miss_fault);
   EXPECT_FALSE(faulty.agreed)
       << "miss_before_completion_bug went undetected; repro: "
       << FuzzCaseToRepro(miss_case);
@@ -146,13 +146,12 @@ TEST(MpDifferentialTest, GeneratedCampaignM2M4HasZeroDivergences) {
   for (int trial = 0; trial < 120; ++trial) {
     FuzzCase c = GenerateFuzzCase(rng, options);
     ASSERT_GT(c.num_cores, 1);
-    TrialOutcome outcome = RunFuzzTrial(c);
-    EXPECT_TRUE(outcome.ok) << "trial " << trial << " diverged\n"
-                            << outcome.Describe() << "repro: "
+    DifferentialRun run = RunDifferentialCase(c);
+    EXPECT_TRUE(run.agreed) << "trial " << trial << " diverged\n"
+                            << DescribeDiffs(run.diffs) << "repro: "
                             << FuzzCaseToRepro(c);
     if (c.mp_mode == MpMode::kPartitioned) {
       ++partitioned;
-      MpDifferentialRun run = RunMpDifferentialCase(c);
       infeasible += run.production.admitted ? 0 : 1;
     } else {
       ++global;
@@ -168,8 +167,8 @@ TEST(MpDifferentialTest, GeneratedCampaignM2M4HasZeroDivergences) {
 }
 
 TEST(MpDifferentialTest, SingleCoreDrawsStillRouteThroughLegacyContract) {
-  // core_choices may mix 1 with larger clusters; a drawn 1 must behave as a
-  // plain single-core trial (properties and all).
+  // core_choices may mix 1 with larger clusters; a drawn 1 takes the same
+  // cluster differential path and also gets the single-core properties.
   Pcg32 rng(99);
   FuzzGenOptions options;
   options.core_choices = {1, 2};

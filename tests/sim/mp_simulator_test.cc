@@ -4,6 +4,7 @@
 // global-mode dispatch, per-core policy bookkeeping isolation, infeasible
 // rejection, and the JSON view.
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/sim/mp_simulator.h"
 #include "src/sim/simulator.h"
 #include "src/util/json.h"
+#include "src/util/random.h"
 
 namespace rtdvs {
 namespace {
@@ -107,8 +109,8 @@ TEST(MpSimulatorTest, PaperExampleM1BitIdenticalToRunSimulationForAllPolicies) {
     EXPECT_EQ(mp.cluster.idle_energy, single.idle_energy);
     EXPECT_EQ(mp.cluster.releases, single.releases);
     EXPECT_EQ(mp.cluster.completions, single.completions);
-    ASSERT_TRUE(mp.cluster_audit.audited);
-    EXPECT_TRUE(mp.cluster_audit.ok()) << mp.cluster_audit.Summary();
+    ASSERT_TRUE(mp.cluster.audit.audited);
+    EXPECT_TRUE(mp.cluster.audit.ok()) << mp.cluster.audit.Summary();
   }
 }
 
@@ -152,11 +154,42 @@ TEST(MpSimulatorTest, PartitionedSlicesMatchStandaloneRuns) {
               1e-12);
   EXPECT_EQ(mp.cluster.releases, mp.cores[0].releases + mp.cores[1].releases);
   EXPECT_EQ(mp.migrations, 0);
-  ASSERT_TRUE(mp.cluster_audit.audited);
-  EXPECT_TRUE(mp.cluster_audit.ok()) << mp.cluster_audit.Summary();
+  ASSERT_TRUE(mp.cluster.audit.audited);
+  EXPECT_TRUE(mp.cluster.audit.ok()) << mp.cluster.audit.Summary();
   // Per-task stats land under GLOBAL ids: task 1 ran alone on core 1.
   ASSERT_EQ(mp.cluster.task_stats.size(), 3u);
   EXPECT_EQ(mp.cluster.task_stats[1].releases, mp.cores[1].releases);
+}
+
+// Reports a constant fraction and counts the draws a host makes anyway.
+class CountingConstantModel : public ExecTimeModel {
+ public:
+  std::string name() const override { return "counting-constant"; }
+  double DrawFraction(int, int64_t, Pcg32&) override {
+    ++draws;
+    return 0.5;
+  }
+  std::optional<double> constant_fraction() const override { return 0.5; }
+  int64_t draws = 0;
+};
+
+// Partitioned cores see the request's model through an id-translating
+// adapter; it must pass constant_fraction() through so each core's
+// Simulator skips the per-release draw, as a single-core run does.
+TEST(MpSimulatorTest, PartitionedCoresSkipDrawsForConstantModels) {
+  SimRequest request;
+  request.tasks = TasksWithUtilizations({0.5, 0.6, 0.3});
+  request.cluster.num_cores = 2;
+  request.cluster.machine = MachineSpec::Machine0();
+  request.mode = MpMode::kPartitioned;
+  request.policy_ids = {"cc_edf"};
+  request.options.horizon_ms = 100.0;
+  CountingConstantModel model;
+  MpSimResult mp = RunClusterSimulation(request, model);
+  ASSERT_TRUE(mp.admitted);
+  EXPECT_EQ(mp.partition.cores_used, 2);
+  EXPECT_GT(mp.cluster.releases, 0);
+  EXPECT_EQ(model.draws, 0);
 }
 
 TEST(MpSimulatorTest, UnusedCoresArePoweredDown) {
@@ -184,8 +217,8 @@ TEST(MpSimulatorTest, UnusedCoresArePoweredDown) {
   // Core 0 idles at a cost; the cluster energy is core 0's alone.
   EXPECT_GT(mp.cores[0].idle_energy, 0.0);
   EXPECT_EQ(mp.cluster.total_energy(), mp.cores[0].total_energy());
-  ASSERT_TRUE(mp.cluster_audit.audited);
-  EXPECT_TRUE(mp.cluster_audit.ok()) << mp.cluster_audit.Summary();
+  ASSERT_TRUE(mp.cluster.audit.audited);
+  EXPECT_TRUE(mp.cluster.audit.ok()) << mp.cluster.audit.Summary();
 }
 
 // Issue 6 satellite: one DvsPolicy instance per core, never shared. Each
@@ -245,8 +278,8 @@ TEST(MpSimulatorTest, GlobalModeRunsTheClusterWideQueue) {
   }
   ASSERT_EQ(mp.cluster.task_stats.size(), 2u);
   EXPECT_EQ(mp.cluster.task_stats[0].releases, 20);
-  ASSERT_TRUE(mp.cluster_audit.audited);
-  EXPECT_TRUE(mp.cluster_audit.ok()) << mp.cluster_audit.Summary();
+  ASSERT_TRUE(mp.cluster.audit.audited);
+  EXPECT_TRUE(mp.cluster.audit.ok()) << mp.cluster.audit.Summary();
 }
 
 TEST(MpSimulatorTest, GlobalModeAffinityAvoidsGratuitousMigrations) {

@@ -124,7 +124,7 @@ std::string ClusterText(const MpSimResult& mp) {
       "audited=%d of=",
       static_cast<int>(mp.mode), mp.num_cores, mp.admitted ? 1 : 0,
       p.feasible ? 1 : 0, p.cores_used, p.error.c_str(),
-      static_cast<long long>(mp.migrations), mp.cluster_audit.audited ? 1 : 0);
+      static_cast<long long>(mp.migrations), mp.cluster.audit.audited ? 1 : 0);
   for (int core : p.core_of_task) {
     out += StrFormat("%d,", core);
   }

@@ -1,4 +1,5 @@
 // Tests for the fuzz-case generators and repro-string round-trip.
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -156,6 +157,23 @@ TEST(GeneratorsTest, ClusterDrawsCoverModesAndHeuristics) {
   EXPECT_EQ(cores.size(), 2u);
   EXPECT_EQ(modes.size(), 2u);
   EXPECT_EQ(fits.size(), 4u);
+}
+
+TEST(GeneratorsTest, LargeClusterCampaignsDrawPastTheDefaultTaskCap) {
+  // A cluster case rescales its task count by the core count, capped at
+  // max(24, max_tasks): a 64-task campaign must reach past 24 and stay
+  // within 64.
+  FuzzGenOptions options;
+  options.core_choices = {4};
+  options.max_tasks = 64;
+  size_t largest = 0;
+  for (uint64_t stream = 0; stream < 50; ++stream) {
+    Pcg32 rng(4, stream);
+    FuzzCase c = GenerateFuzzCase(rng, options);
+    EXPECT_LE(c.tasks.size(), 64u);
+    largest = std::max(largest, c.tasks.size());
+  }
+  EXPECT_GT(largest, 24u);
 }
 
 TEST(GeneratorsTest, ClusterReproRoundTripIsExact) {

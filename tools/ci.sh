@@ -197,9 +197,10 @@ stage_fuzz() {
   # overload backlogs are fuzzed too (the default draws at most 8 tasks).
   build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=3 --max-tasks=64 \
     --max-ms=30000 --repro-out="$out/repros-large.txt"
-  # Large global sets: the MP campaign above draws at most 8 tasks, so the
-  # global top-M selection (ReadyQueue::PickTopK) and the context build's
-  # backlog fallback would never meet deep ready queues without this one.
+  # Large cluster sets: the MP campaign above rescales its 1..8 tasks by the
+  # core count but stops at 24; this one reaches 64 tasks, so the global
+  # top-M selection (ReadyQueue::PickTopK) and the context build's backlog
+  # fallback meet deep ready queues too.
   build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=4 --cores=2,3,4 \
     --max-tasks=64 --max-ms=30000 --repro-out="$out/repros-mp-large.txt"
   # Self-check: with a historical bug injected into the reference, the same

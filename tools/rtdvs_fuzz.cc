@@ -112,9 +112,9 @@ int Main(int argc, char** argv) {
   }
 
   FuzzGenOptions gen_options;
-  if (max_tasks < gen_options.min_tasks || max_tasks > 1000) {
+  if (max_tasks < kFuzzMinTasks || max_tasks > 1000) {
     std::fprintf(stderr, "bad --max-tasks %lld (want %d..1000)\n",
-                 static_cast<long long>(max_tasks), gen_options.min_tasks);
+                 static_cast<long long>(max_tasks), kFuzzMinTasks);
     return 1;
   }
   gen_options.max_tasks = static_cast<int>(max_tasks);

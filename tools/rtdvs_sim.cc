@@ -104,8 +104,8 @@ void PrintMpResult(const MpSimResult& result, PartitionHeuristic fit,
                 static_cast<long long>(result.migrations));
   }
   std::printf("cluster %s\n", result.cluster.Summary().c_str());
-  if (result.cluster_audit.audited) {
-    std::printf("  %s\n", result.cluster_audit.Summary().c_str());
+  if (result.cluster.audit.audited) {
+    std::printf("  %s\n", result.cluster.audit.Summary().c_str());
   }
   for (int c = 0; c < result.num_cores; ++c) {
     const SimResult& slice = result.cores[static_cast<size_t>(c)];
@@ -398,7 +398,7 @@ int Main(int argc, char** argv) {
       exit_code = std::max(exit_code, 2);
     }
     bool audit_failed =
-        result.cluster_audit.audited && !result.cluster_audit.ok();
+        result.cluster.audit.audited && !result.cluster.audit.ok();
     for (const auto& slice : result.cores) {
       audit_failed |= slice.audit.audited && !slice.audit.ok();
     }

@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "src/core/scenario.h"
+#include "src/cpu/machine_spec.h"
 #include "src/core/sweep.h"
 #include "src/dvs/policy.h"
 #include "src/engine/cluster.h"
@@ -79,7 +81,7 @@ int Main(int argc, char** argv) {
 
   FlagSet flags("rtdvs-sweep: custom energy-vs-utilization sweeps.");
   flags.AddString("policies", &policies, "comma-separated policy ids");
-  flags.AddString("machine", &machine, "machine0|machine1|machine2|k6");
+  flags.AddString("machine", &machine, kMachineNames);
   flags.AddString("demand", &demand,
                   "actual-demand spec: c=<f> | uniform[=lo,hi] | bimodal=<t>,<p>");
   flags.AddString("utils", &utils, "utilization grid lo:hi:step (default 0.05:1:0.05)");
@@ -158,7 +160,13 @@ int Main(int argc, char** argv) {
                  utils.c_str());
     return 1;
   }
-  options.machine = MachineSpec::ByName(machine);
+  std::optional<MachineSpec> machine_spec = MachineSpec::FindByName(machine);
+  if (!machine_spec) {
+    std::fprintf(stderr, "error: unknown --machine '%s' (%s)\n", machine.c_str(),
+                 kMachineNames);
+    return 1;
+  }
+  options.machine = *machine_spec;
   if (MakeDemandModel(demand) == nullptr) {
     std::fprintf(stderr, "error: bad --demand spec '%s'\n", demand.c_str());
     return 1;
