@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "src/rt/task.h"
 #include "src/util/random.h"
 #include "src/util/time_eps.h"
+#include "tests/dvs/policy_pair.h"
 
 namespace rtdvs {
 namespace {
@@ -110,96 +110,7 @@ class SortingLaEdf : public DvsPolicy {
   std::vector<double> executed_snapshot_;
 };
 
-class RecordingSpeed : public SpeedController {
- public:
-  explicit RecordingSpeed(const OperatingPoint& initial) : current_(initial) {}
-  void SetOperatingPoint(const OperatingPoint& point) override {
-    current_ = point;
-    requests.push_back(point);
-  }
-  const OperatingPoint& current() const override { return current_; }
-  std::vector<OperatingPoint> requests;
-
- private:
-  OperatingPoint current_;
-};
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-// Both policies side by side; every callback goes to both with the same
-// context and must produce the same requests and counter effects.
-class Pair {
- public:
-  explicit Pair(const MachineSpec* machine)
-      : kept_speed_(machine->max_point()),
-        sorted_speed_(machine->max_point()) {
-    kept_.set_counter_tap(&kept_effects_);
-    sorted_.set_counter_tap(&sorted_effects_);
-  }
-
-  enum class Call { kStart, kRelease, kCompletion };
-
-  void Deliver(Call call, int task_id, const PolicyContext& ctx) {
-    switch (call) {
-      case Call::kStart:
-        kept_.OnStart(ctx, kept_speed_);
-        sorted_.OnStart(ctx, sorted_speed_);
-        break;
-      case Call::kRelease:
-        kept_.OnTaskRelease(task_id, ctx, kept_speed_);
-        sorted_.OnTaskRelease(task_id, ctx, sorted_speed_);
-        break;
-      case Call::kCompletion:
-        kept_.OnTaskCompletion(task_id, ctx, kept_speed_);
-        sorted_.OnTaskCompletion(task_id, ctx, sorted_speed_);
-        break;
-    }
-    ExpectSame();
-  }
-
-  const OperatingPoint& kept_point() const { return kept_speed_.current(); }
-
- private:
-  void ExpectSame() {
-    ASSERT_EQ(kept_speed_.requests.size(), sorted_speed_.requests.size());
-    EXPECT_TRUE(kept_speed_.requests.back() == sorted_speed_.requests.back());
-    ASSERT_EQ(kept_effects_.size(), sorted_effects_.size());
-    for (size_t i = 0; i < kept_effects_.size(); ++i) {
-      EXPECT_EQ(kept_effects_[i].field, sorted_effects_[i].field) << i;
-      EXPECT_TRUE(SameBits(kept_effects_[i].value, sorted_effects_[i].value))
-          << "effect " << i << ": " << kept_effects_[i].value << " vs "
-          << sorted_effects_[i].value;
-    }
-  }
-
-  LaEdfPolicy kept_;
-  SortingLaEdf sorted_;
-  RecordingSpeed kept_speed_;
-  RecordingSpeed sorted_speed_;
-  std::vector<PolicyCounterEffect> kept_effects_;
-  std::vector<PolicyCounterEffect> sorted_effects_;
-};
-
-PolicyContext MakeContext(const TaskSet* tasks, const MachineSpec* machine,
-                          const std::vector<double>& deadlines) {
-  PolicyContext ctx;
-  ctx.tasks = tasks;
-  ctx.machine = machine;
-  ctx.views.resize(deadlines.size());
-  for (size_t i = 0; i < deadlines.size(); ++i) {
-    ctx.views[i].next_deadline_ms = deadlines[i];
-  }
-  return ctx;
-}
-
-void Activate(PolicyContext* ctx, int id, double deadline, double wcet) {
-  auto& view = ctx->views[static_cast<size_t>(id)];
-  view.has_active_job = true;
-  view.next_deadline_ms = deadline;
-  view.worst_case_remaining = wcet;
-}
+using Pair = PolicyPair<LaEdfPolicy, SortingLaEdf>;
 
 TEST(LaEdfOrderTest, TiedDeadlinesKeepIdOrder) {
   // A, B and D tie at 20, after C (40) and before E (5, the next deadline).
