@@ -13,6 +13,7 @@ class NoDvsPolicy : public DvsPolicy {
 
   std::string name() const override { return SchedulerKindName(kind_); }
   SchedulerKind scheduler_kind() const override { return kind_; }
+  bool observes_events() const override { return false; }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override {
     RequestOperatingPoint(speed, ctx.machine->max_point());

@@ -17,6 +17,7 @@ class StaticScalingPolicy : public DvsPolicy {
 
   std::string name() const override;
   SchedulerKind scheduler_kind() const override { return kind_; }
+  bool observes_events() const override { return false; }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
 
