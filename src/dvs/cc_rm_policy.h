@@ -48,10 +48,12 @@ class CcRmPolicy : public DvsPolicy {
 
  private:
   // Applies "during task execution: decrement c_left_i and d_i" by
-  // differencing cumulative executed work since the last callback.
-  void Sync(const PolicyContext& ctx);
-  void AllocateCycles(const PolicyContext& ctx);
-  void SelectFrequency(const PolicyContext& ctx, SpeedController& speed);
+  // differencing cumulative executed work since the last callback, and
+  // returns the earliest deadline in the system from the same pass.
+  double Sync(const PolicyContext& ctx);
+  // Both take the earliest deadline in the system, `d_next`.
+  void AllocateCycles(const PolicyContext& ctx, double d_next);
+  void SelectFrequency(const PolicyContext& ctx, double d_next, SpeedController& speed);
 
   double f_ss_ = 1.0;
   bool degraded_ = false;

@@ -41,12 +41,15 @@ class LaEdfPolicy : public DvsPolicy {
                         SpeedController& speed) override;
 
  private:
-  void Sync(const PolicyContext& ctx);
   // order_'s ordering: later deadline first, lower id first among ties.
   bool Before(int a, int b) const;
   // Moves task `id` to its place in order_ under its new deadline `key`.
   void Reorder(int id, double key);
-  void Defer(const PolicyContext& ctx, SpeedController& speed);
+  // Applies the work executed since the last callback, sets task
+  // `task_id`'s c_left to `task_c_left` (task_id < 0: no task), and runs
+  // defer().
+  void Defer(const PolicyContext& ctx, SpeedController& speed, int task_id,
+             double task_c_left);
 
   std::vector<double> c_left_;
   std::vector<double> executed_snapshot_;

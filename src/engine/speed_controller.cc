@@ -20,11 +20,12 @@ ModeledSpeedController::ModeledSpeedController(const MachineSpec* machine,
 }
 
 void ModeledSpeedController::SetOperatingPoint(const OperatingPoint& point) {
-  // Validate that policies only request points that exist on this machine.
-  (void)machine_->IndexOf(point);
+  // The current point is always on the machine, so a same-point request
+  // needs no lookup; every change is validated against the machine.
   if (point == point_) {
     return;
   }
+  (void)machine_->IndexOf(point);
   point_ = point;
   ++switch_count_;
   if (switch_time_ms_ > 0) {
