@@ -200,6 +200,19 @@ int Main(int argc, char** argv) {
                  "error: --cores must be in 0..64 (0 keeps the scenario's value)\n");
     return 1;
   }
+  if (sim_ms <= 0) {
+    std::fprintf(stderr, "error: --sim-ms must be > 0\n");
+    return 1;
+  }
+  // Negated comparisons also reject NaN.
+  if (!(idle_level >= 0.0 && idle_level <= 1.0)) {
+    std::fprintf(stderr, "error: --idle-level must be in [0, 1]\n");
+    return 1;
+  }
+  if (!(switch_time_ms >= 0.0)) {
+    std::fprintf(stderr, "error: --switch-ms must be >= 0\n");
+    return 1;
+  }
   std::optional<MpMode> mode_override;
   if (!mp_mode.empty()) {
     mode_override = ParseMpMode(mp_mode);
