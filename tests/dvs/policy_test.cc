@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/dvs/interval_policy.h"
 
 namespace rtdvs {
@@ -59,6 +61,25 @@ TEST(PolicyContext, EarliestDeadlineScansViews) {
   ctx.views[1].next_deadline_ms = 8;
   ctx.views[2].next_deadline_ms = 30;
   EXPECT_DOUBLE_EQ(ctx.EarliestDeadline(), 8.0);
+}
+
+// laEDF and ccRM fold the earliest-deadline scan into their one-pass
+// callbacks; an empty context still fails the check EarliestDeadline makes.
+TEST(PolicyDeathTest, OnePassCallbacksRejectAnEmptyContext) {
+  class NullSpeed : public SpeedController {
+   public:
+    void SetOperatingPoint(const OperatingPoint& point) override { point_ = point; }
+    const OperatingPoint& current() const override { return point_; }
+
+   private:
+    OperatingPoint point_{1.0, 5.0};
+  };
+  const PolicyContext empty;
+  NullSpeed speed;
+  for (const char* id : {"la_edf", "cc_rm"}) {
+    std::unique_ptr<DvsPolicy> policy = MakePolicy(id);
+    EXPECT_DEATH(policy->OnTaskCompletion(0, empty, speed), "CHECK failed") << id;
+  }
 }
 
 TEST(IntervalPolicyDeathTest, ValidatesOptions) {
