@@ -1,10 +1,13 @@
-// Extension bench (footnote 1): aperiodic service through periodic /
-// deferrable servers under RT-DVS. Sweeps the server bandwidth and reports
-// aperiodic response time, backlog, periodic misses (must stay zero) and
-// energy — the provisioning tradeoff a system designer actually turns.
+// Extension bench (footnote 1): aperiodic service through a polling server
+// and a CBS under RT-DVS. Sweeps the server bandwidth and reports aperiodic
+// response time, backlog, periodic misses and energy — the provisioning
+// tradeoff a system designer actually turns. Exits 1 if any run misses a
+// periodic deadline or fails SimAudit: both servers guarantee the periodic
+// tasks' deadlines.
 #include <iostream>
 #include <memory>
 
+#include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/dvs/policy.h"
 #include "src/rt/exec_time_model.h"
@@ -30,7 +33,7 @@ int Main(int argc, char** argv) {
   flags.AddBool("quick", &quick, "smoke-test configuration (3 sets, 1 s horizon)");
   flags.AddString("json", &json_path,
                   "also write the report as rtdvs-bench-v1 JSON to this path");
-  if (!flags.Parse(argc, argv)) {
+  if (!flags.Parse(argc, argv) || !ValidRunCounts(tasksets, sim_ms)) {
     return 1;
   }
   if (quick) {
@@ -45,8 +48,9 @@ int Main(int argc, char** argv) {
   gen_options.num_tasks = 5;
   gen_options.target_utilization = 0.5;  // leaves room for the server
 
-  for (ServerKind kind :
-       {ServerKind::kPolling, ServerKind::kDeferrable, ServerKind::kCbs}) {
+  int64_t total_misses = 0;
+  int64_t audit_violations = 0;
+  for (ServerKind kind : {ServerKind::kPolling, ServerKind::kCbs}) {
     for (double server_util : {0.1, 0.2, 0.3}) {
       RunningStats mean_resp, max_resp, backlog, normalized;
       int64_t misses = 0;
@@ -67,9 +71,8 @@ int Main(int argc, char** argv) {
 
         auto edf = MakePolicy("edf");
         ConstantFractionModel edf_model(0.8);
-        double edf_energy =
-            RunSimulation(tasks, MachineSpec::Machine0(), *edf, edf_model, options)
-                .total_energy();
+        SimResult edf_result =
+            RunSimulation(tasks, MachineSpec::Machine0(), *edf, edf_model, options);
         auto policy = MakePolicy("cc_edf");
         ConstantFractionModel model(0.8);
         SimResult result =
@@ -77,13 +80,13 @@ int Main(int argc, char** argv) {
         mean_resp.Add(result.aperiodic.MeanResponseMs());
         max_resp.Add(result.aperiodic.max_response_ms);
         backlog.Add(result.aperiodic.backlog_work);
-        normalized.Add(result.total_energy() / edf_energy);
+        normalized.Add(result.total_energy() / edf_result.total_energy());
         misses += result.deadline_misses;
+        audit_violations += static_cast<int64_t>(result.audit.violations.size() +
+                                                 edf_result.audit.violations.size());
       }
-      const char* kind_name = kind == ServerKind::kPolling      ? "polling"
-                              : kind == ServerKind::kDeferrable ? "deferrable"
-                                                                : "CBS";
-      table.AddRow({kind_name,
+      total_misses += misses;
+      table.AddRow({kind == ServerKind::kPolling ? "polling" : "CBS",
                     FormatDouble(server_util, 2), FormatDouble(mean_resp.mean(), 2),
                     FormatDouble(max_resp.mean(), 2), FormatDouble(backlog.mean(), 2),
                     StrFormat("%lld", static_cast<long long>(misses)),
@@ -95,18 +98,17 @@ int Main(int argc, char** argv) {
                "(5 periodic tasks at U=0.5, Poisson arrivals ~0.05 work/ms) ==\n";
   table.Print(std::cout);
   table.PrintCsv(std::cout, "csv,ablation_server");
-  std::cout
-      << "(polling and CBS must show zero periodic misses. The deferrable\n"
-         " server's back-to-back budget bursts exceed periodic-task\n"
-         " interference — the classic DS penalty — which is exactly what the\n"
-         " CBS deadline-postponement rule repairs while keeping immediate\n"
-         " response to arrivals.)\n";
+  std::cout << StrFormat("periodic misses: %lld, audit violations (EDF and "
+                         "ccEDF runs): %lld\n",
+                         static_cast<long long>(total_misses),
+                         static_cast<long long>(audit_violations));
 
   BenchJson json("ablation_server");
   json.Config("tasksets", tasksets);
   json.Config("sim_ms", sim_ms);
   json.AddTable("Aperiodic servers under ccEDF", table);
-  return json.WriteIfRequested(json_path) ? 0 : 1;
+  const bool wrote = json.WriteIfRequested(json_path);
+  return wrote && total_misses == 0 && audit_violations == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <memory>
 
+#include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/dvs/stat_edf_policy.h"
 #include "src/rt/exec_time_model.h"
@@ -36,7 +37,7 @@ int Main(int argc, char** argv) {
   flags.AddBool("quick", &quick, "smoke-test configuration (4 sets, 1 s horizon)");
   flags.AddString("json", &json_path,
                   "also write the report as rtdvs-bench-v1 JSON to this path");
-  if (!flags.Parse(argc, argv)) {
+  if (!flags.Parse(argc, argv) || !ValidRunCounts(tasksets, sim_ms)) {
     return 1;
   }
   if (quick) {

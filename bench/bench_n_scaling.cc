@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/cpu/machine_spec.h"
 #include "src/dvs/policy.h"
@@ -85,11 +86,11 @@ int main(int argc, char** argv) {
   flags.AddBool("quick", &quick, "small CI-friendly configuration");
   flags.AddString("json", &json_path,
                   "also write the report as rtdvs-bench-v1 JSON to this path");
-  if (!flags.Parse(argc, argv)) {
+  if (!flags.Parse(argc, argv) || !rtdvs::ValidRunCounts(tasksets, sim_ms)) {
     return 1;
   }
-  if (repeat < 1 || tasksets < 1 || sim_ms <= 0) {
-    std::fprintf(stderr, "error: --repeat, --tasksets and --sim-ms must be >= 1\n");
+  if (repeat < 1) {
+    std::fprintf(stderr, "error: --repeat must be >= 1\n");
     return 1;
   }
   if (quick) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/core/sweep.h"
 #include "src/util/flags.h"
@@ -92,7 +93,7 @@ int Main(int argc, char** argv) {
                 "(adds overhead: the scaling numbers stop being clean)");
   flags.AddString("json", &json_path,
                   "also write the report as rtdvs-bench-v1 JSON to this path");
-  if (!flags.Parse(argc, argv)) {
+  if (!flags.Parse(argc, argv) || !ValidRunCounts(tasksets, sim_ms)) {
     return 1;
   }
   if (max_jobs < 0) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/core/sweep.h"
 #include "src/util/flags.h"
@@ -62,7 +63,8 @@ inline bool ParseSweepFlags(int argc, char** argv, const std::string& descriptio
                    "sweep profile section");
   flag_set.AddString("json", &flags->json_path,
                      "also write the report as rtdvs-bench-v1 JSON to this path");
-  if (!flag_set.Parse(argc, argv)) {
+  if (!flag_set.Parse(argc, argv) ||
+      !ValidRunCounts(flags->tasksets, flags->sim_ms)) {
     return false;
   }
   if (flags->jobs < 0) {

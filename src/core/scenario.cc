@@ -167,13 +167,11 @@ std::variant<Scenario, std::string> ParseScenario(std::string_view text) {
       }
       if (fields[1] == "polling") {
         scenario.server.kind = ServerKind::kPolling;
-      } else if (fields[1] == "deferrable") {
-        scenario.server.kind = ServerKind::kDeferrable;
       } else if (fields[1] == "cbs") {
         scenario.server.kind = ServerKind::kCbs;
       } else {
         return Error(line_number,
-                     "unknown server kind '" + fields[1] + "' (polling|deferrable|cbs)");
+                     "unknown server kind '" + fields[1] + "' (polling|cbs)");
       }
       auto period = ParseDouble(fields[2]);
       auto budget = ParseDouble(fields[3]);

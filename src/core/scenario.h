@@ -6,7 +6,7 @@
 //   # comment (also after '#' on a line)
 //   machine machine0                 # machine0|machine1|machine2|k6
 //   task <name> <period_ms> <wcet_ms> [demand]
-//   server <polling|deferrable|cbs> <period_ms> <budget_ms>
+//   server <polling|cbs> <period_ms> <budget_ms>
 //          [interarrival=<ms>] [service=<ms>] [maxservice=<ms>]   (one line)
 //   cluster <num_cores> [mode=partitioned|global] [fit=ff|nf|bf|wf]
 //   policies <id> [<id> ...]         # DVS policy per core (one = every core)

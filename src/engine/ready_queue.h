@@ -33,8 +33,8 @@ class ReadyQueue {
   // `scheduler` must outlive the queue; rebind on policy hot-swap.
   void BindScheduler(const Scheduler* scheduler) { scheduler_ = scheduler; }
 
-  // Highest-priority runnable job (finished/suspended skipped), or
-  // Scheduler::kNone. Inline: selection runs once per step on both hosts.
+  // Highest-priority unfinished job, or Scheduler::kNone. Inline: selection
+  // runs once per step on both hosts.
   size_t Pick(const std::vector<Job>& jobs, const TaskSet& tasks) const {
     RTDVS_PROF_SCOPE("engine/ready_queue/pick");
     RTDVS_CHECK(scheduler_ != nullptr) << "ReadyQueue used before BindScheduler";
@@ -92,7 +92,7 @@ class ReadyQueue {
     RTDVS_PROF_SCOPE("engine/ready_queue/pick");
     size_t running = previous;
     for (size_t i = first_new; i < jobs.size(); ++i) {
-      if (jobs[i].finished || jobs[i].suspended) {
+      if (jobs[i].finished) {
         continue;
       }
       if (running == Scheduler::kNone || higher(jobs[i], jobs[running])) {
@@ -146,7 +146,7 @@ class ReadyQueue {
     }
     for (size_t i = 0; i < jobs.size(); ++i) {
       const Job& job = jobs[i];
-      if (job.finished || job.suspended) {
+      if (job.finished) {
         continue;
       }
       const bool full = picked.size() == k;

@@ -33,6 +33,7 @@ AperiodicServerState::AperiodicServerState(const AperiodicServerConfig& config,
           << "fixed arrivals must be time-ordered";
     }
     next_arrival_ms_ = config_.arrivals.fixed_arrivals.front().arrival_ms;
+    RTDVS_CHECK_GE(next_arrival_ms_, 0.0) << "fixed arrivals start at t >= 0";
   }
   budget_remaining_ = config_.budget_ms;
 }
@@ -49,7 +50,9 @@ void AperiodicServerState::AdmitArrivals(double now_ms) {
     while (fixed_index_ < fixed.size() &&
            fixed[fixed_index_].arrival_ms <= now_ms + kTimeEpsMs) {
       AperiodicJob job = fixed[fixed_index_];
-      RTDVS_CHECK_GT(job.service_work, 0.0);
+      // A request of no servable work would leave a live server job that
+      // cannot run.
+      RTDVS_CHECK_GT(job.service_work, kWorkEps);
       job.remaining_work = job.service_work;
       queue_.push_back(job);
       ++stats_.arrivals;
@@ -115,6 +118,8 @@ double AperiodicServerState::CbsWake(double now_ms) {
   if (budget_remaining_ >= (cbs_deadline_ms_ - now_ms) * bandwidth) {
     cbs_deadline_ms_ = now_ms + config_.period_ms;
     budget_remaining_ = config_.budget_ms;
+  } else if (budget_remaining_ <= kWorkEps) {
+    return CbsPostpone();
   }
   return cbs_deadline_ms_;
 }

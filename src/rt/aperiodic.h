@@ -9,21 +9,17 @@
 // system treats as an ordinary periodic task (period P_s, budget C_s),
 // serves the arrival queue:
 //
-//   * kPolling  — the classic periodic (polling) server: the budget is
+//   * kPolling — the classic periodic (polling) server: the budget is
 //     replenished at each release; the server runs at its task's priority
-//     and SUSPENDS (forfeiting remaining budget) the moment the queue is
-//     empty. Work arriving after that waits for the next period.
-//   * kDeferrable — the deferrable server: the budget is replenished each
-//     period but RETAINED while the queue is empty, so an arrival mid-
-//     period is served immediately (at the server's priority) as long as
-//     budget remains. Better response times, slightly more interference.
+//     and RETIRES its job (forfeiting remaining budget) the moment the
+//     queue is empty. Work arriving after that waits for the next period.
+//   * kCbs — the Constant Bandwidth Server (below): an arrival starts an
+//     activation at once, under a deadline the CBS rules keep within
+//     bandwidth C_s/P_s.
 //
 // Because the server is presented to schedulers, schedulability tests and
 // DVS policies as a periodic task of utilization C_s/P_s, every RT-DVS
-// guarantee for the periodic tasks carries over unchanged. (For the
-// deferrable server under RM this is a mild approximation — the exact DS
-// interference bound is stricter — which is why the polling server is the
-// default and the property tests run both.)
+// guarantee for the periodic tasks carries over unchanged.
 #ifndef SRC_RT_APERIODIC_H_
 #define SRC_RT_APERIODIC_H_
 
@@ -38,13 +34,10 @@ namespace rtdvs {
 enum class ServerKind {
   kNone,
   kPolling,
-  kDeferrable,
   // Constant Bandwidth Server (Abeni & Buttazzo, RTSS'98): an EDF-native
   // server whose deadline is postponed by one period whenever its budget
   // exhausts, provably never demanding more than C_s/P_s of the processor
-  // in ANY window. It fixes the deferrable server's back-to-back
-  // interference (see bench_ablation_server) while keeping its immediate
-  // response to arrivals.
+  // in ANY window, while it still serves an arrival immediately.
   kCbs,
 };
 
@@ -123,7 +116,9 @@ class AperiodicServerState {
   // Wake rule, applied when work arrives while the server is idle: if the
   // retained budget would exceed the bandwidth available before the current
   // server deadline, reset deadline = now + P_s with a full budget;
-  // otherwise keep both. Returns the (possibly new) server deadline.
+  // otherwise keep both, except that a kept budget of (at most kWorkEps)
+  // zero is exhausted and takes the exhaustion rule at once. So the
+  // activation always has budget to serve with. Returns the server deadline.
   double CbsWake(double now_ms);
   // Exhaustion rule: replenish the budget and postpone the deadline by one
   // period. Returns the new deadline.

@@ -26,9 +26,6 @@ struct Job {
   // Work executed so far.
   double executed_work = 0;
   bool finished = false;
-  // A suspended job is not runnable (used by bandwidth-preserving servers
-  // holding budget with an empty queue); schedulers skip it.
-  bool suspended = false;
   // Set when the deadline passed before completion.
   bool missed = false;
   // Global multiprocessor scheduling only: the job held a core in the

@@ -64,14 +64,14 @@ struct RmComparator {
   }
 };
 
-// Selection loop shared by every pick path: highest-priority unfinished,
-// unsuspended job; ties resolve to the lowest index.
+// Selection loop shared by every pick path: highest-priority unfinished
+// job; ties resolve to the lowest index.
 template <typename HigherPri>
 inline size_t PickJobWith(const std::vector<Job>& jobs, HigherPri&& higher) {
   constexpr size_t kNone = static_cast<size_t>(-1);
   size_t best = kNone;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].finished || jobs[i].suspended) {
+    if (jobs[i].finished) {
       continue;
     }
     if (best == kNone || higher(jobs[i], jobs[best])) {
@@ -87,7 +87,7 @@ class Scheduler {
   virtual SchedulerKind kind() const = 0;
 
   // Returns the index (into `jobs`) of the job to run, or kNone when no job
-  // is runnable. Jobs flagged finished or suspended are skipped; ties
+  // is runnable. Jobs flagged finished are skipped; ties
   // resolve to the lowest index among equal-priority jobs.
   virtual size_t PickJob(const std::vector<Job>& jobs,
                          const TaskSet& tasks) const = 0;

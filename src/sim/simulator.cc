@@ -116,35 +116,21 @@ inline bool Simulator::MaybeCompleteServerJob(size_t index, double now) {
   if (jobs_[index].finished) {
     return false;
   }
-  switch (options_.aperiodic.kind) {
-    case ServerKind::kPolling:
-      // The polling server forfeits its remaining budget the moment it has
-      // nothing to serve.
-      if (aperiodic_->QueueEmpty() || aperiodic_->budget_remaining() <= kWorkEps) {
-        aperiodic_->ForfeitBudget();
-        FinalizeJobCompletion(index, now);
-        return true;
-      }
-      break;
-    case ServerKind::kDeferrable:
-      // The deferrable server keeps unused budget until its deadline.
-      if (aperiodic_->budget_remaining() <= kWorkEps) {
-        FinalizeJobCompletion(index, now);
-        return true;
-      }
-      break;
-    case ServerKind::kCbs:
-      // The CBS activation ends when the queue drains; budget exhaustion
-      // postpones the deadline instead (handled in the event loop).
-      if (aperiodic_->QueueEmpty()) {
-        FinalizeJobCompletion(index, now);
-        return true;
-      }
-      break;
-    case ServerKind::kNone:
-      break;
+  // A server job retires when its queue drains. A polling server then
+  // forfeits what is left of its budget, and it also retires when the budget
+  // runs out; a CBS keeps its budget for the wake rule and recharges on
+  // exhaustion instead (the CBS rules in RunLoop).
+  const bool polling = options_.aperiodic.kind == ServerKind::kPolling;
+  const bool done = aperiodic_->QueueEmpty() ||
+                    (polling && aperiodic_->budget_remaining() <= kWorkEps);
+  if (!done) {
+    return false;
   }
-  return false;
+  if (polling) {
+    aperiodic_->ForfeitBudget();
+  }
+  FinalizeJobCompletion(index, now);
+  return true;
 }
 
 void Simulator::AddJob(const Job& job) {
@@ -170,6 +156,9 @@ void Simulator::AddCbsJob(double deadline) {
   dirty_.Mark(server_task_id_);
   ++result_.releases;
   ++result_.task_stats[static_cast<size_t>(server_task_id_)].releases;
+  if (options_.record_trace) {
+    result_.trace.AddEvent({now_, TraceEventKind::kRelease, server_task_id_, {}});
+  }
   released_.push_back(server_task_id_);
 }
 
@@ -569,8 +558,7 @@ inline void Simulator::CompactJobs() {
       }
     }
     if constexpr (!kGlobal) {
-      if (!jobs_[kept].suspended &&
-          (best == Scheduler::kNone || HigherPriority<kKind>(jobs_[kept], jobs_[best]))) {
+      if (best == Scheduler::kNone || HigherPriority<kKind>(jobs_[kept], jobs_[best])) {
         best = kept;
       }
     }
@@ -727,9 +715,9 @@ void Simulator::RunLoop() {
     const double next_release = NextPeriodicReleaseMs();
     double t_next = std::min(horizon, next_release);
     if constexpr (kServer) {
-      if (aperiodic_->NextArrivalMs() > now_ + kTimeEpsMs) {
-        t_next = std::min(t_next, aperiodic_->NextArrivalMs());
-      }
+      // Past the first step every arrival due at now_ has been admitted;
+      // one due at t = 0 makes the first step a scheduling point.
+      t_next = std::min(t_next, aperiodic_->NextArrivalMs());
     }
     // Idle skip: with no job there is nothing to pick, and the interval up
     // to t_next integrates as one idle segment. Skipping the pick leaves
@@ -743,13 +731,12 @@ void Simulator::RunLoop() {
     } else {
       if constexpr (kServer) {
         if (server_job_ != Scheduler::kNone) {
-          // A server job holding budget with an empty queue is not
-          // runnable. CBS wake and postpone set deadlines that track no
-          // release, so the server deadline is a scheduling point.
-          Job& server = jobs_[server_job_];
-          const bool suspended = EffectiveRemaining(server) <= kWorkEps;
-          pick_valid_ = pick_valid_ && suspended == server.suspended;
-          server.suspended = suspended;
+          // A live server job always has work it may serve: the server
+          // rules retire or recharge it the moment its queue or budget runs
+          // out. CBS wake and postpone set deadlines that track no release,
+          // so the server deadline is a scheduling point.
+          const Job& server = jobs_[server_job_];
+          RTDVS_CHECK_GT(EffectiveRemaining(server), kWorkEps);
           if (server.deadline_ms > now_ + kTimeEpsMs) {
             t_next = std::min(t_next, server.deadline_ms);
           }
@@ -897,7 +884,7 @@ void Simulator::RunLoop() {
     // the callback block entirely, and so does every step of a run whose
     // policies all ignore events; timer-driven policies always get their
     // per-step NextWakeupMs poll. At M = 1 OnIdle fires here, once per idle
-    // period (a suspended server job does not count as idle).
+    // period.
     const bool entered_idle = !kGlobal && jobs_.empty() && !was_idle;
     if (any_observer_ &&
         (any_timer_driven_ || entered_idle || !completed_.empty() ||

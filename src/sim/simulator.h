@@ -23,8 +23,8 @@
 // next scheduling point without being dispatched). A periodic job's
 // deadline is the same double as its task's next release, so only the
 // latest jobs of the tasks due now can miss. At M = 1, while no job
-// finished or was suspended, the pick is the better of the previous pick
-// and the jobs released since.
+// finished, the pick is the better of the previous pick and the jobs
+// released since.
 //
 // One loop serves every core count M >= 1. The cores share the clock, the
 // job list, the per-task state, the ReadyQueue, the PolicyContext and the
@@ -289,7 +289,7 @@ class Simulator {
   bool any_finished_ = false;
   // M = 1 incremental pick: the last pick's result and jobs_.size() at that
   // pick (or at the last compaction), usable while pick_valid_ (no job
-  // finished or changed suspension since).
+  // finished since).
   size_t last_pick_ = Scheduler::kNone;
   size_t pick_seen_ = 0;
   bool pick_valid_ = false;

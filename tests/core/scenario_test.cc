@@ -56,6 +56,13 @@ TEST(Scenario, ParsesServerLine) {
   EXPECT_DOUBLE_EQ(scenario.server.arrivals.max_service_ms, 6.0);
 }
 
+TEST(Scenario, DeferrableServerIsAParseError) {
+  const std::string error = Err(ParseScenario("task t 10 1\nserver deferrable 20 2\n"));
+  EXPECT_NE(error.find("unknown server kind 'deferrable' (polling|cbs)"),
+            std::string::npos)
+      << error;
+}
+
 TEST(Scenario, ErrorsCarryLineNumbers) {
   EXPECT_NE(Err(ParseScenario("task t 10 1\nbogus line\n")).find("line 2"),
             std::string::npos);

@@ -3,9 +3,9 @@
 // yet taken, until k are taken. Random job vectors (seeded) draw deadlines,
 // periods and releases from small grids so ties are common, give tasks
 // backlogs of up to three live jobs (some exact duplicates, which only
-// creation order separates), mark jobs finished or suspended, and ask for
-// more cores than there are ready tasks, under EDF, RM and an order that
-// leaves jobs of different tasks tied.
+// creation order separates), mark jobs finished, and ask for more cores
+// than there are ready tasks, under EDF, RM and an order that leaves jobs
+// of different tasks tied.
 #include "src/engine/ready_queue.h"
 
 #include <gtest/gtest.h>
@@ -54,7 +54,6 @@ Case RandomCase(Pcg32& rng) {
         job.deadline_ms = job.release_ms + 2.0 * (1 + rng.NextBounded(4));
       }
       job.finished = rng.NextBounded(6) == 0;
-      job.suspended = !job.finished && rng.NextBounded(8) == 0;
       c.jobs.push_back(job);
     }
   }
@@ -67,7 +66,7 @@ std::vector<size_t> ReferenceTopK(const Case& c, size_t k,
                                   const HigherPri& higher) {
   std::vector<size_t> ready;
   for (size_t i = 0; i < c.jobs.size(); ++i) {
-    if (!c.jobs[i].finished && !c.jobs[i].suspended) {
+    if (!c.jobs[i].finished) {
       ready.push_back(i);
     }
   }
@@ -152,7 +151,7 @@ TEST(ReadyQueuePickTopKTest, OneJobPerTaskEvenWhenItsBacklogOutranksOthers) {
   EXPECT_EQ(queue.PickTopK(jobs, 2, EdfComparator{}),
             (std::vector<size_t>{1, 2}));
   // No runnable job at all.
-  jobs[1].suspended = true;
+  jobs[1].finished = true;
   jobs[2].finished = true;
   EXPECT_TRUE(queue.PickTopK(jobs, 2, EdfComparator{}).empty());
 }

@@ -81,7 +81,7 @@ TEST(AperiodicServerState, FinalizeRecordsBacklog) {
 
 TEST(AperiodicServerState, PoissonArrivalsMatchConfiguredRates) {
   AperiodicServerConfig config;
-  config.kind = ServerKind::kDeferrable;
+  config.kind = ServerKind::kPolling;
   config.period_ms = 10.0;
   config.budget_ms = 5.0;
   config.arrivals.mean_interarrival_ms = 20.0;
@@ -96,6 +96,19 @@ TEST(AperiodicServerState, PoissonArrivalsMatchConfiguredRates) {
               1.0, 0.05);
 }
 
+TEST(AperiodicServerState, CbsWakeOnAnEmptyBudgetPostponesAtOnce) {
+  auto state = AperiodicServerState(
+      FixedConfig(ServerKind::kCbs, {Arrival(1, 3), Arrival(5, 1)}), 1);
+  state.AdmitArrivals(1.0);
+  EXPECT_DOUBLE_EQ(state.CbsWake(1.0), 11.0);  // fresh deadline, full budget
+  state.Execute(3.0, 4.0, 1.0);  // the first request drains the budget
+  state.AdmitArrivals(5.0);
+  // A budget of 0 is exhausted: recharge and postpone, rather than keep a
+  // deadline the server has no budget to serve under.
+  EXPECT_DOUBLE_EQ(state.CbsWake(5.0), 21.0);
+  EXPECT_DOUBLE_EQ(state.budget_remaining(), 3.0);
+}
+
 TEST(AperiodicServerStateDeathTest, ValidatesConfig) {
   AperiodicServerConfig config;
   config.kind = ServerKind::kPolling;
@@ -105,6 +118,14 @@ TEST(AperiodicServerStateDeathTest, ValidatesConfig) {
   auto out_of_order =
       FixedConfig(ServerKind::kPolling, {Arrival(5, 1), Arrival(1, 1)});
   EXPECT_DEATH(AperiodicServerState(out_of_order, 1), "time-ordered");
+  auto before_zero = FixedConfig(ServerKind::kPolling, {Arrival(-1, 1)});
+  EXPECT_DEATH(AperiodicServerState(before_zero, 1), "t >= 0");
+}
+
+TEST(AperiodicServerStateDeathTest, RejectsArrivalWithNoServableWork) {
+  auto state = AperiodicServerState(
+      FixedConfig(ServerKind::kCbs, {Arrival(0, 1e-12)}), 1);
+  EXPECT_DEATH(state.AdmitArrivals(0.0), "CHECK failed");
 }
 
 }  // namespace

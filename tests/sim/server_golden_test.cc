@@ -225,131 +225,6 @@ TEST(ServerGolden, Polling) {
   });
 }
 
-TEST(ServerGolden, Deferrable) {
-  ExpectGolden(ServerKind::kDeferrable, {
-      "set0 edf sw=0 late energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 edf sw=0 abort energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 edf sw=0.4 late energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 edf sw=0.4 abort energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 rm sw=0 late energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 rm sw=0 abort energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 rm sw=0.4 late energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 rm sw=0.4 abort energy=8404.6572502799336 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606671 ap_response=103.8841875039731 ap_max_response=21.986234333703663 ap_backlog=0",
-      "set0 cc_edf sw=0 late energy=5177.9643807386237 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=113.20493736880212 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_edf sw=0 abort energy=5177.9643807386237 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=113.20493736880212 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_edf sw=0.4 late energy=5176.5643807386241 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=115.61602824332778 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_edf sw=0.4 abort energy=5176.5643807386241 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=115.61602824332778 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_rm sw=0 late energy=5221.9447292259283 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=111.78499537841731 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_rm sw=0 abort energy=5221.9447292259283 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606835 ap_response=111.78499537841731 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_rm sw=0.4 late energy=5281.3715199207936 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606799 ap_response=113.74345399950909 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 cc_rm sw=0.4 abort energy=5281.3715199207936 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606799 ap_response=113.74345399950909 ap_max_response=22.001044292041371 ap_backlog=0",
-      "set0 la_edf sw=0 late energy=3955.336471244811 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.56217172860682 ap_response=129.23985472609297 ap_max_response=24.267435896699055 ap_backlog=0",
-      "set0 la_edf sw=0 abort energy=3955.336471244811 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.56217172860682 ap_response=129.23985472609297 ap_max_response=24.267435896699055 ap_backlog=0",
-      "set0 la_edf sw=0.4 late energy=3862.6938580275887 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606813 ap_response=132.33691064539937 ap_max_response=24.722974888541984 ap_backlog=0",
-      "set0 la_edf sw=0.4 abort energy=3862.6938580275887 misses=0 releases=220 completions=218 aborted=0"
-      " ap_arrivals=32 ap_completions=32 ap_served=29.562171728606813 ap_response=132.33691064539937 ap_max_response=24.722974888541984 ap_backlog=0",
-      "set1 edf sw=0 late energy=11142.690355332801 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353788 ap_response=90.907235404065332 ap_max_response=17.140428651733686 ap_backlog=0",
-      "set1 edf sw=0 abort energy=11142.690355332801 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353788 ap_response=90.907235404065332 ap_max_response=17.140428651733686 ap_backlog=0",
-      "set1 edf sw=0.4 late energy=11142.690355332801 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353788 ap_response=90.907235404065332 ap_max_response=17.140428651733686 ap_backlog=0",
-      "set1 edf sw=0.4 abort energy=11142.690355332801 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353788 ap_response=90.907235404065332 ap_max_response=17.140428651733686 ap_backlog=0",
-      "set1 rm sw=0 late energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 rm sw=0 abort energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 rm sw=0.4 late energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 rm sw=0.4 abort energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 cc_edf sw=0 late energy=10803.217521057411 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353816 ap_response=112.50515468920236 ap_max_response=17.771404873549642 ap_backlog=0",
-      "set1 cc_edf sw=0 abort energy=10803.217521057411 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353816 ap_response=112.50515468920236 ap_max_response=17.771404873549642 ap_backlog=0",
-      "set1 cc_edf sw=0.4 late energy=10811.1755517207 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353752 ap_response=142.26500147851647 ap_max_response=18.55803780699361 ap_backlog=0",
-      "set1 cc_edf sw=0.4 abort energy=10811.1755517207 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353752 ap_response=142.26500147851647 ap_max_response=18.55803780699361 ap_backlog=0",
-      "set1 cc_rm sw=0 late energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 cc_rm sw=0 abort energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 cc_rm sw=0.4 late energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 cc_rm sw=0.4 abort energy=11142.690355332803 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353802 ap_response=98.642500917099198 ap_max_response=17.420428651733374 ap_backlog=0",
-      "set1 la_edf sw=0 late energy=10098.49310084329 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353795 ap_response=131.61712596813999 ap_max_response=17.982168116364818 ap_backlog=0",
-      "set1 la_edf sw=0 abort energy=10098.49310084329 misses=0 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353795 ap_response=131.61712596813999 ap_max_response=17.982168116364818 ap_backlog=0",
-      "set1 la_edf sw=0.4 late energy=10242.649752733261 misses=11 releases=438 completions=437 aborted=0"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353809 ap_response=170.7322119694947 ap_max_response=23.038548938957291 ap_backlog=0",
-      "set1 la_edf sw=0.4 abort energy=10349.691798320633 misses=2 releases=438 completions=435 aborted=2"
-      " ap_arrivals=38 ap_completions=38 ap_served=38.544631459353809 ap_response=168.012993150775 ap_max_response=23.038548938957291 ap_backlog=0",
-      "set2 edf sw=0 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=81.300962184322742 ap_max_response=13.37421315009928 ap_backlog=0",
-      "set2 edf sw=0 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=81.300962184322742 ap_max_response=13.37421315009928 ap_backlog=0",
-      "set2 edf sw=0.4 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=81.300962184322742 ap_max_response=13.37421315009928 ap_backlog=0",
-      "set2 edf sw=0.4 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=81.300962184322742 ap_max_response=13.37421315009928 ap_backlog=0",
-      "set2 rm sw=0 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 rm sw=0 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 rm sw=0.4 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 rm sw=0.4 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 cc_edf sw=0 late energy=13281.102283918946 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339736 ap_response=86.513230869816567 ap_max_response=13.388333321774553 ap_backlog=0",
-      "set2 cc_edf sw=0 abort energy=13281.102283918946 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339736 ap_response=86.513230869816567 ap_max_response=13.388333321774553 ap_backlog=0",
-      "set2 cc_edf sw=0.4 late energy=13267.280679482479 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.8141237103397 ap_response=93.913207228771824 ap_max_response=14.188333321774564 ap_backlog=0",
-      "set2 cc_edf sw=0.4 abort energy=13267.280679482479 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.8141237103397 ap_response=93.913207228771824 ap_max_response=14.188333321774564 ap_backlog=0",
-      "set2 cc_rm sw=0 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 cc_rm sw=0 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 cc_rm sw=0.4 late energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 cc_rm sw=0.4 abort energy=13920.688894352757 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339693 ap_response=120.18827939021006 ap_max_response=13.88453629490806 ap_backlog=0",
-      "set2 la_edf sw=0 late energy=12903.391731840786 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339615 ap_response=100.02076295817855 ap_max_response=14.027573665125146 ap_backlog=0",
-      "set2 la_edf sw=0 abort energy=12903.391731840786 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339615 ap_response=100.02076295817855 ap_max_response=14.027573665125146 ap_backlog=0",
-      "set2 la_edf sw=0.4 late energy=13057.052608790777 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339629 ap_response=109.23463729347608 ap_max_response=15.318166327663221 ap_backlog=0",
-      "set2 la_edf sw=0.4 abort energy=13057.052608790777 misses=0 releases=222 completions=221 aborted=0"
-      " ap_arrivals=45 ap_completions=45 ap_served=37.814123710339629 ap_response=109.23463729347608 ap_max_response=15.318166327663221 ap_backlog=0",
-  });
-}
-
 TEST(ServerGolden, Cbs) {
   ExpectGolden(ServerKind::kCbs, {
       "set0 edf sw=0 late energy=8404.6572502799354 misses=0 releases=158 completions=157 aborted=0"

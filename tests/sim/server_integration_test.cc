@@ -1,7 +1,7 @@
 // Integration tests of the aperiodic server inside the simulator: the
 // periodic guarantees must be untouched, the aperiodic queue must be served
-// within the provisioned bandwidth, and the deferrable variant must beat
-// the polling variant on response time.
+// within the provisioned bandwidth, and the CBS must beat the polling
+// server on response time.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,7 +35,7 @@ SimOptions ServerOptions(ServerKind kind) {
 TEST(ServerIntegration, PeriodicTasksKeepTheirGuarantees) {
   // Periodic U = 0.6 plus a 0.2 server: total 0.8 <= 1 under EDF.
   TaskSet tasks({{"p1", 20.0, 8.0, 0.0}, {"p2", 50.0, 10.0, 0.0}});
-  for (ServerKind kind : {ServerKind::kPolling, ServerKind::kDeferrable}) {
+  for (ServerKind kind : {ServerKind::kPolling, ServerKind::kCbs}) {
     for (const char* id : {"edf", "cc_edf", "la_edf"}) {
       auto policy = MakePolicy(id);
       ConstantFractionModel model(1.0);
@@ -55,7 +55,7 @@ TEST(ServerIntegration, ServedWorkNeverExceedsProvisionedBandwidth) {
   TaskSet tasks({{"p1", 20.0, 8.0, 0.0}});
   auto policy = MakePolicy("edf");
   ConstantFractionModel model(1.0);
-  SimOptions options = ServerOptions(ServerKind::kDeferrable);
+  SimOptions options = ServerOptions(ServerKind::kPolling);
   options.aperiodic.arrivals.mean_interarrival_ms = 2.0;  // overload the server
   SimResult result =
       RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
@@ -68,29 +68,23 @@ TEST(ServerIntegration, ServedWorkNeverExceedsProvisionedBandwidth) {
 TEST(ServerIntegration, PollingServesOnlyFromPeriodBoundaries) {
   // One request arriving just after the server's release: the polling
   // server (which forfeited its budget at t=0, queue empty) serves it at
-  // the NEXT period; the deferrable server serves it immediately.
+  // the NEXT period (CbsServesIsolatedArrivalImmediately is the CBS case).
   TaskSet tasks({{"p1", 100.0, 1.0, 50.0}});  // keep the CPU otherwise free
-  auto run = [&](ServerKind kind) {
-    auto policy = MakePolicy("edf");
-    ConstantFractionModel model(1.0);
-    SimOptions options = ServerOptions(kind);
-    options.aperiodic.arrivals.fixed_arrivals = {Arrival(1.0, 1.0)};
-    return RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
-  };
-  SimResult polling = run(ServerKind::kPolling);
-  SimResult deferrable = run(ServerKind::kDeferrable);
+  auto policy = MakePolicy("edf");
+  ConstantFractionModel model(1.0);
+  SimOptions options = ServerOptions(ServerKind::kPolling);
+  options.aperiodic.arrivals.fixed_arrivals = {Arrival(1.0, 1.0)};
+  SimResult polling =
+      RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
   ASSERT_EQ(polling.aperiodic.completions, 1);
-  ASSERT_EQ(deferrable.aperiodic.completions, 1);
-  // Deferrable: served on arrival at t=1, done by t=2 (1 work at f=1).
-  EXPECT_NEAR(deferrable.aperiodic.max_response_ms, 1.0, 1e-6);
-  // Polling: waits for the replenishment at t=10, completes at t=11.
+  // Waits for the replenishment at t=10, completes at t=11.
   EXPECT_NEAR(polling.aperiodic.max_response_ms, 10.0, 1e-6);
 }
 
 TEST(ServerIntegration, CbsPreservesGuaranteesAndServesImmediately) {
-  // The CBS both responds at arrival time (like the deferrable server) and
-  // provably bounds its interference (like the polling server) — the
-  // back-to-back scenario that breaks the DS cannot break it.
+  // The CBS both responds at arrival time and provably bounds its
+  // interference (like the polling server): back-to-back budget bursts
+  // cannot break a periodic deadline.
   TaskSet tasks({{"p1", 20.0, 8.0, 0.0}, {"p2", 50.0, 10.0, 0.0}});
   auto policy = MakePolicy("cc_edf");
   ConstantFractionModel model(1.0);  // worst-case periodic load: U = 0.8
@@ -116,9 +110,11 @@ TEST(ServerIntegration, CbsServesIsolatedArrivalImmediately) {
 }
 
 TEST(ServerIntegration, CbsPostponesDeadlineOnBudgetExhaustion) {
-  // A 5-work request against a 2-work/10-ms CBS: three activations, each a
-  // release/completion pair visible in the stats, demand never above
-  // U_s = 0.2 in any window.
+  // A 5-work request at t = 0 against a 2-work/10-ms CBS: three
+  // activations, each a release/completion pair visible in the stats,
+  // demand never above U_s = 0.2 in any window. The arrival is served from
+  // t = 0 on the otherwise idle CPU: an arrival at t = 0 is a scheduling
+  // point even though no other event falls there.
   TaskSet tasks({{"p1", 200.0, 1.0, 100.0}});
   auto policy = MakePolicy("edf");
   ConstantFractionModel model(1.0);
@@ -132,10 +128,61 @@ TEST(ServerIntegration, CbsPostponesDeadlineOnBudgetExhaustion) {
   EXPECT_EQ(server_stats.releases, 3);  // wake + two postponements
   EXPECT_EQ(result.aperiodic.completions, 1);
   EXPECT_DOUBLE_EQ(result.aperiodic.served_work, 5.0);
+  EXPECT_NEAR(result.aperiodic.max_response_ms, 5.0, 1e-6);
   EXPECT_EQ(result.deadline_misses, 0);
 }
 
-TEST(ServerIntegration, DeferrableResponseBeatsPollingOnAverage) {
+TEST(ServerIntegration, CbsWakeOnAnEmptyBudgetServesAtOnce) {
+  // The first request drains the budget exactly ([1, 3)), so the second
+  // arrives at t = 4 to a server holding budget 0 under deadline 11. The
+  // exhaustion rule recharges it and postpones the deadline to 21 at the
+  // wake, so the request is served over [4, 5) on the idle CPU.
+  TaskSet tasks({{"p1", 100.0, 1.0, 50.0}});
+  auto policy = MakePolicy("edf");
+  ConstantFractionModel model(1.0);
+  SimOptions options = ServerOptions(ServerKind::kCbs);
+  options.horizon_ms = 100.0;
+  options.aperiodic.arrivals.fixed_arrivals = {Arrival(1.0, 2.0), Arrival(4.0, 1.0)};
+  SimResult result =
+      RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
+  ASSERT_EQ(result.aperiodic.completions, 2);
+  // Responses 2 ms and 1 ms.
+  EXPECT_NEAR(result.aperiodic.total_response_ms, 3.0, 1e-6);
+  EXPECT_NEAR(result.aperiodic.max_response_ms, 2.0, 1e-6);
+  // One activation per request: the wake needs no release of its own.
+  EXPECT_EQ(result.task_stats[static_cast<size_t>(result.server_task_id)].releases, 2);
+  EXPECT_EQ(result.deadline_misses, 0);
+}
+
+TEST(ServerIntegration, CbsActivationsRecordReleaseEvents) {
+  // Every server completion in the trace closes an activation whose
+  // release the trace recorded, as for a periodic task.
+  TaskSet tasks({{"p1", 20.0, 8.0, 0.0}, {"p2", 50.0, 10.0, 0.0}});
+  auto policy = MakePolicy("cc_edf");
+  ConstantFractionModel model(1.0);
+  SimOptions options = ServerOptions(ServerKind::kCbs);
+  options.record_trace = true;
+  SimResult result =
+      RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
+  const int server = result.server_task_id;
+  int64_t releases = 0;
+  int64_t completions = 0;
+  for (const TraceEvent& event : result.trace.events()) {
+    if (event.task_id != server) {
+      continue;
+    }
+    if (event.kind == TraceEventKind::kRelease) {
+      ++releases;
+    } else if (event.kind == TraceEventKind::kCompletion) {
+      ++completions;
+      EXPECT_LE(completions, releases) << "completion at t=" << event.time_ms;
+    }
+  }
+  EXPECT_GT(completions, 0);
+  EXPECT_EQ(releases, result.task_stats[static_cast<size_t>(server)].releases);
+}
+
+TEST(ServerIntegration, CbsResponseBeatsPollingOnAverage) {
   TaskSet tasks({{"p1", 20.0, 6.0, 0.0}});
   auto run = [&](ServerKind kind) {
     auto policy = MakePolicy("cc_edf");
@@ -145,11 +192,10 @@ TEST(ServerIntegration, DeferrableResponseBeatsPollingOnAverage) {
     return RunSimulation(tasks, MachineSpec::Machine0(), *policy, model, options);
   };
   SimResult polling = run(ServerKind::kPolling);
-  SimResult deferrable = run(ServerKind::kDeferrable);
-  EXPECT_LT(deferrable.aperiodic.MeanResponseMs(),
-            polling.aperiodic.MeanResponseMs());
+  SimResult cbs = run(ServerKind::kCbs);
+  EXPECT_LT(cbs.aperiodic.MeanResponseMs(), polling.aperiodic.MeanResponseMs());
   EXPECT_EQ(polling.deadline_misses, 0);
-  EXPECT_EQ(deferrable.deadline_misses, 0);
+  EXPECT_EQ(cbs.deadline_misses, 0);
 }
 
 TEST(ServerIntegration, UnusedServerBudgetLowersCcEdfEnergy) {
