@@ -105,6 +105,11 @@ int Main(int argc, char** argv) {
   if (quick) {
     scenarios = 20;
   }
+  if (scenarios < 1) {
+    // An empty run would print an all-zero table that "shows" zero misses.
+    std::cerr << "error: --scenarios must be >= 1\n";
+    return 1;
+  }
 
   TextTable table({"first release", "scenarios", "scenarios w/ miss", "total misses"});
   for (bool defer : {false, true}) {

@@ -22,6 +22,7 @@ class CcEdfPolicy : public DvsPolicy {
   std::string name() const override { return "ccEDF"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kEdf; }
   bool lowers_speed_when_idle() const override { return true; }
+  bool IsReplicaOf(const DvsPolicy& other) const override { return SameClassAs(other); }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

@@ -31,6 +31,8 @@ class CcRmPolicy : public DvsPolicy {
   std::string name() const override { return "ccRM"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kRm; }
   bool lowers_speed_when_idle() const override { return true; }
+  // OnIdle reads only degraded_, which OnStart sets.
+  bool IsReplicaOf(const DvsPolicy& other) const override { return SameClassAs(other); }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

@@ -33,6 +33,7 @@ class LaEdfPolicy : public DvsPolicy {
   std::string name() const override { return "laEDF"; }
   SchedulerKind scheduler_kind() const override { return SchedulerKind::kEdf; }
   bool lowers_speed_when_idle() const override { return true; }
+  bool IsReplicaOf(const DvsPolicy& other) const override { return SameClassAs(other); }
 
   void OnStart(const PolicyContext& ctx, SpeedController& speed) override;
   void OnTaskRelease(int task_id, const PolicyContext& ctx,

@@ -9,9 +9,11 @@
 #ifndef SRC_DVS_POLICY_H_
 #define SRC_DVS_POLICY_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "src/cpu/machine_spec.h"
@@ -73,6 +75,20 @@ class SpeedController {
   virtual const OperatingPoint& current() const = 0;
 };
 
+// One effect of a policy callback, in the form a replica group's leader
+// records it for the group's other members (DvsPolicy::IsReplicaOf).
+struct PolicyEffect {
+  enum class Kind : uint8_t {
+    kRequest,            // RequestOperatingPoint(point)
+    kUtilizationSample,  // RecordUtilizationSample(value)
+    kSlackReclaimed,     // RecordSlackReclaimed(value)
+    kDeferral,           // RecordDeferral(value)
+  };
+  Kind kind = Kind::kRequest;
+  double value = 0;
+  OperatingPoint point;
+};
+
 class DvsPolicy {
  public:
   virtual ~DvsPolicy() = default;
@@ -103,6 +119,26 @@ class DvsPolicy {
   // after OnStart. Defaults to true, so a wrapper that forwards callbacks
   // stays correct without overriding it.
   virtual bool observes_events() const { return true; }
+  // True when this policy, on another core of a global cluster, would
+  // decide exactly as `other` does. Hosts may then run each
+  // OnTaskRelease/OnTaskCompletion on one instance of a replica group (the
+  // leader) and apply its recorded effects to the others (ApplyEffects), so
+  // the decision is computed once per group rather than once per core.
+  // Defaults to false; a policy claims it for `other` only when both hold:
+  //   - given the same OnStart context and the same event callbacks, the two
+  //     make the same SetOperatingPoint requests and the same counter
+  //     effects, whatever their speed controllers report;
+  //   - its OnIdle reads no state that event callbacks change (state set in
+  //     OnStart, such as ccRM's degraded mode, is fine).
+  // OnStart and OnIdle still run on every instance, and timer-driven
+  // policies never join a group. A wrapper that forwards callbacks keeps
+  // the default, so it still receives every callback on every core. The
+  // reference oracle calls every instance, so a wrong claim shows up as a
+  // fuzz divergence.
+  virtual bool IsReplicaOf(const DvsPolicy& other) const {
+    (void)other;
+    return false;
+  }
   // No caller in src/; kept because perfbench/ overrides or reads it.
   virtual bool supports_time_skip() const { return false; }
 
@@ -154,13 +190,29 @@ class DvsPolicy {
   // la_edf_order_test.cc) compare their recorded sequences.
   void set_counter_tap(std::vector<PolicyCounterEffect>* tap) { tap_ = tap; }
 
+  // Replica groups (IsReplicaOf): while a log is bound, every speed request
+  // and counter effect is also appended to it, in execution order. The
+  // counter tap above is independent of it.
+  void set_effect_log(std::vector<PolicyEffect>* log) { effect_log_ = log; }
+  // Makes the effects a replica recorded as if this policy had made them:
+  // each request goes to `speed` and counts this policy's request and, if
+  // `speed` was at another point, its transition; every other effect adds
+  // the same addend to the same counters. The policy's own bookkeeping is
+  // not touched.
+  void ApplyEffects(const std::vector<PolicyEffect>& effects, SpeedController& speed);
+
  protected:
+  // IsReplicaOf for a policy whose requests and counter effects follow from
+  // its contexts and callbacks alone: every instance of exactly its class.
+  bool SameClassAs(const DvsPolicy& other) const { return typeid(other) == typeid(*this); }
+
   // Policy implementations change speed through this wrapper so that request
   // and transition counts stay consistent with the engine's speed_switches
   // accounting: a transition is counted iff the requested point differs from
   // the current one.
   void RequestOperatingPoint(SpeedController& speed,
                              const OperatingPoint& point) {
+    Log({PolicyEffect::Kind::kRequest, 0, point});
     CountOne(PolicyCounterField::kSpeedRequests,
              counters_.speed_change_requests);
     if (!(point == speed.current())) {
@@ -172,6 +224,7 @@ class DvsPolicy {
 
   // A utilization estimate was computed to select a frequency.
   void RecordUtilizationSample(double utilization) {
+    Log({PolicyEffect::Kind::kUtilizationSample, utilization, {}});
     CountOne(PolicyCounterField::kUtilizationSamples,
              counters_.utilization_samples);
     AddTo(PolicyCounterField::kUtilizationSum, counters_.utilization_sum,
@@ -181,6 +234,7 @@ class DvsPolicy {
   // ccEDF/ccRM: a completion finished under its WCET and handed `slack_ms`
   // back to the utilization estimate.
   void RecordSlackReclaimed(double slack_ms) {
+    Log({PolicyEffect::Kind::kSlackReclaimed, slack_ms, {}});
     CountOne(PolicyCounterField::kSlackCompletions,
              counters_.slack_completions);
     AddTo(PolicyCounterField::kSlackReclaimedMs, counters_.slack_reclaimed_ms,
@@ -190,6 +244,7 @@ class DvsPolicy {
   // laEDF: one defer() pass pushed `deferred_ms` of work past the next
   // deadline in the system.
   void RecordDeferral(double deferred_ms) {
+    Log({PolicyEffect::Kind::kDeferral, deferred_ms, {}});
     CountOne(PolicyCounterField::kDeferralDecisions,
              counters_.deferral_decisions);
     AddTo(PolicyCounterField::kWorkDeferredMs, counters_.work_deferred_ms,
@@ -199,6 +254,11 @@ class DvsPolicy {
   PolicyCounters counters_;
 
  private:
+  void Log(const PolicyEffect& effect) {
+    if (effect_log_ != nullptr) {
+      effect_log_->push_back(effect);
+    }
+  }
   void CountOne(PolicyCounterField field, int64_t& slot) {
     slot += 1;
     if (tap_ != nullptr) {
@@ -213,6 +273,7 @@ class DvsPolicy {
   }
 
   std::vector<PolicyCounterEffect>* tap_ = nullptr;
+  std::vector<PolicyEffect>* effect_log_ = nullptr;
 };
 
 // Factory: creates a policy by its canonical id. Valid ids:

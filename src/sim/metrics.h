@@ -54,6 +54,10 @@ struct FastPathStats {
   // run whose policies all ignore events (DvsPolicy::observes_events)
   // builds exactly once. Deterministic.
   int64_t context_builds = 0;
+  // OnTaskRelease/OnTaskCompletion calls the policies ran. In global mode a
+  // replica group's followers apply their leader's effects instead
+  // (DvsPolicy::IsReplicaOf) and are not counted. Deterministic.
+  int64_t event_callbacks = 0;
   // Always 0. No caller in src/; kept because perfbench/ overrides or reads it.
   int64_t hyperperiod_cycles_replayed = 0;
 
@@ -65,6 +69,7 @@ struct FastPathStats {
     idle_skipped_ms += other.idle_skipped_ms;
     jobs_visited += other.jobs_visited;
     context_builds += other.context_builds;
+    event_callbacks += other.event_callbacks;
   }
 };
 

@@ -313,7 +313,9 @@ MpSimResult RunClusterSimulation(const SimRequest& request,
               static_cast<int>(request.policy_ids.size()) == num_cores)
       << "policy_ids must have one entry, or exactly one per core";
   // One instance per core, always: policy bookkeeping (utilization tables,
-  // slack accounting, counters) must never be shared between cores.
+  // slack accounting, counters) must never be shared between cores. In
+  // global mode a replica group's decisions are still computed once and
+  // mirrored to its other cores (DvsPolicy::IsReplicaOf).
   std::vector<std::unique_ptr<DvsPolicy>> owned;
   std::vector<DvsPolicy*> raw;
   for (int core = 0; core < num_cores; ++core) {

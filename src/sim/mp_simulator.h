@@ -35,7 +35,9 @@
 // (idle energy applies); all policies observe the cluster-wide
 // PolicyContext (its busy/idle/work totals summed over cores in core
 // order), receive every release and completion in core order, and steer
-// only their own core's speed. A core's OnIdle fires once per idle period,
+// only their own core's speed (cores whose policies replicate one another,
+// DvsPolicy::IsReplicaOf, receive them as the recorded effects of the
+// group's first core, with the same outcome). A core's OnIdle fires once per idle period,
 // ahead of a segment of positive length that it spends without a job.
 // Global scheduling carries no utilization-based deadline guarantee
 // (Dhall's effect), so there is no admission test and slices always run.

@@ -353,6 +353,9 @@ SimResult Simulator::Run() {
     any_observer_ = any_observer_ || observes;
     core.counters_at_start = core.policy->counters();
   }
+  if (global) {
+    FormReplicaGroups();
+  }
   context_builder_.Bind(&tasks_, &machine_);
   dirty_.Reset(static_cast<int>(n));
   ready_.ResetTracking();
@@ -398,6 +401,9 @@ SimResult Simulator::Run() {
 
   if (global) {
     for (Core& core : cores_) {
+      if (core.leads) {
+        core.policy->set_effect_log(nullptr);
+      }
       FillCoreTotals(core, &core.slice);
     }
   } else {
@@ -505,6 +511,45 @@ void Simulator::DispatchGlobal() {
     if (core.job != Scheduler::kNone) {
       jobs_[core.job].dispatched = true;
     }
+  }
+}
+
+void Simulator::FormReplicaGroups() {
+  // One instance on two cores never groups with itself: as its own follower
+  // it would append to the log it is applying.
+  for (size_t c = 1; c < cores_.size(); ++c) {
+    Core& core = cores_[c];
+    if (core.timer_driven) {
+      continue;
+    }
+    for (size_t l = 0; l < c; ++l) {
+      Core& leader = cores_[l];
+      if (leader.mirror == nullptr && !leader.timer_driven &&
+          leader.policy != core.policy && core.policy->IsReplicaOf(*leader.policy)) {
+        if (!leader.leads) {
+          leader.leads = true;
+          leader.policy->set_effect_log(&leader.effects);
+        }
+        core.mirror = &leader.effects;
+        break;
+      }
+    }
+  }
+}
+
+template <bool kGlobal, typename Callback>
+inline void Simulator::DeliverEvent(Callback&& callback) {
+  for (Core& core : Cores<kGlobal>()) {
+    if constexpr (kGlobal) {
+      if (core.mirror != nullptr) {
+        core.policy->ApplyEffects(*core.mirror, *core.speed);
+        continue;
+      }
+      // A leader's log also holds what its OnStart and OnIdle did.
+      core.effects.clear();
+    }
+    callback(core);
+    ++result_.fastpath.event_callbacks;
   }
 }
 
@@ -878,7 +923,7 @@ void Simulator::RunLoop() {
     }
 
     // --- Policy callbacks: completions first, then releases, each to every
-    // core's policy in core order. ---
+    // core in core order (DeliverEvent). ---
     // Steps where nothing the policies observe happened (no completion, no
     // release, no wakeup, no idle transition) skip the context build and
     // the callback block entirely, and so does every step of a run whose
@@ -892,17 +937,18 @@ void Simulator::RunLoop() {
       RTDVS_PROF_SCOPE("sim/policy/callbacks");
       BuildContext<kGlobal>();
       for (int task_id : completed_) {
-        for (Core& core : Cores<kGlobal>()) {
+        DeliverEvent<kGlobal>([&](Core& core) {
           core.policy->OnTaskCompletion(task_id, ctx_, *core.speed);
-        }
+        });
       }
       for (int task_id : released_) {
-        for (Core& core : Cores<kGlobal>()) {
+        DeliverEvent<kGlobal>([&](Core& core) {
           core.policy->OnTaskRelease(task_id, ctx_, *core.speed);
-        }
+        });
       }
       for (int task_id : completed_after_release_) {
         single.policy->OnTaskCompletion(task_id, ctx_, *single.speed);
+        ++result_.fastpath.event_callbacks;
       }
 
       // Timer wakeups (non-RT interval baseline).
@@ -960,6 +1006,7 @@ JsonValue FastPathStatsToJson(const FastPathStats& stats) {
   doc.Set("idle_skipped_ms", stats.idle_skipped_ms);
   doc.Set("jobs_visited", stats.jobs_visited);
   doc.Set("context_builds", stats.context_builds);
+  doc.Set("event_callbacks", stats.event_callbacks);
   return doc;
 }
 

@@ -31,9 +31,13 @@
 // RNG; each core has its own DvsPolicy, speed controller, energy accountant
 // and timer wakeup. M = 1 picks one job per step. M > 1 is global
 // multiprocessor scheduling (src/sim/mp_simulator.h): the M highest-priority
-// jobs run, one per core, with core affinity, every policy sees every
-// release and completion in core order, and each core's OnIdle fires ahead
-// of a segment of positive length that it spends without a job.
+// jobs run, one per core, with core affinity, every release and completion
+// reaches every core in core order, and each core's OnIdle fires ahead of a
+// segment of positive length that it spends without a job. Cores whose
+// policies replicate one another (DvsPolicy::IsReplicaOf) form a replica
+// group: the group's first core runs each release and completion callback
+// and the others apply its recorded effects, so a decision costs O(n) once
+// per group instead of once per core.
 //
 // The kernel (src/kernel/) runs the same ContextBuilder, ReadyQueue and
 // ModelEnergyAccountant on its register-level hardware.
@@ -157,6 +161,12 @@ class Simulator {
     bool timer_driven = false;
     // M > 1: OnIdle already fired for the core's current idle period.
     bool was_idle = false;
+    // M > 1 replica groups: a leader's policy records each release and
+    // completion callback's effects into `effects`; a follower applies
+    // `mirror` (its leader's `effects`) instead of running the callback.
+    bool leads = false;
+    std::vector<PolicyEffect> effects;
+    const std::vector<PolicyEffect>* mirror = nullptr;
     // Index into jobs_ of the job running in this step, or Scheduler::kNone.
     size_t job = Scheduler::kNone;
     PolicyCounters counters_at_start;
@@ -197,6 +207,14 @@ class Simulator {
   void DispatchGlobal();
   // M > 1: OnIdle for each core without a job that is not already idle.
   void NotifyIdleCores();
+  // M > 1: makes each core that replicates an earlier core's policy a
+  // follower of the first such core, which leads its replica group.
+  void FormReplicaGroups();
+  // Delivers one release or completion callback, `callback(core)`, to every
+  // core in core order; a replica group's followers apply their leader's
+  // effects instead.
+  template <bool kGlobal, typename Callback>
+  void DeliverEvent(Callback&& callback);
   // When the core's job would complete at the core's current speed.
   double CompletionMs(const Core& core) const;
   // Copies a core's accountant totals, switch count and this run's policy

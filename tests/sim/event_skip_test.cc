@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,96 +22,15 @@
 #include "src/rt/task.h"
 #include "src/sim/mp_simulator.h"
 #include "src/testing/differential.h"
+#include "tests/sim/forwarding_policy.h"
 
 namespace rtdvs {
 namespace {
-
-// Forwards everything to `inner` but keeps observes_events() at its
-// default, so hosts deliver every callback round to it.
-class ForwardingPolicy : public DvsPolicy {
- public:
-  explicit ForwardingPolicy(std::unique_ptr<DvsPolicy> inner) : inner_(std::move(inner)) {}
-
-  std::string name() const override { return inner_->name(); }
-  SchedulerKind scheduler_kind() const override { return inner_->scheduler_kind(); }
-  bool lowers_speed_when_idle() const override { return inner_->lowers_speed_when_idle(); }
-  bool guarantees_deadlines() const override { return inner_->guarantees_deadlines(); }
-  bool timer_driven() const override { return inner_->timer_driven(); }
-
-  void OnStart(const PolicyContext& ctx, SpeedController& speed) override {
-    inner_->OnStart(ctx, speed);
-    counters_ = inner_->counters();
-  }
-  void OnTaskRelease(int task_id, const PolicyContext& ctx,
-                     SpeedController& speed) override {
-    inner_->OnTaskRelease(task_id, ctx, speed);
-    counters_ = inner_->counters();
-  }
-  void OnTaskCompletion(int task_id, const PolicyContext& ctx,
-                        SpeedController& speed) override {
-    inner_->OnTaskCompletion(task_id, ctx, speed);
-    counters_ = inner_->counters();
-  }
-  void OnIdle(const PolicyContext& ctx, SpeedController& speed) override {
-    inner_->OnIdle(ctx, speed);
-    counters_ = inner_->counters();
-  }
-  std::optional<double> NextWakeupMs(const PolicyContext& ctx) override {
-    return inner_->NextWakeupMs(ctx);
-  }
-  void OnWakeup(const PolicyContext& ctx, SpeedController& speed) override {
-    inner_->OnWakeup(ctx, speed);
-    counters_ = inner_->counters();
-  }
-
- private:
-  std::unique_ptr<DvsPolicy> inner_;
-};
 
 const std::vector<std::string>& FixedSpeedIds() {
   static const std::vector<std::string> kIds = {"edf", "rm", "static_edf", "static_rm",
                                                 "static_rm_exact"};
   return kIds;
-}
-
-// Runs `request` with one policy per core; `wrap[c]` puts core c's policy
-// behind a ForwardingPolicy.
-MpSimResult RunWith(const SimRequest& request, const std::vector<std::string>& ids,
-                    const std::vector<bool>& wrap) {
-  std::vector<std::unique_ptr<DvsPolicy>> owned;
-  std::vector<DvsPolicy*> policies;
-  for (size_t c = 0; c < ids.size(); ++c) {
-    std::unique_ptr<DvsPolicy> policy = MakePolicy(ids[c]);
-    if (wrap[c]) {
-      policy = std::make_unique<ForwardingPolicy>(std::move(policy));
-    }
-    policies.push_back(policy.get());
-    owned.push_back(std::move(policy));
-  }
-  UniformFractionModel model(0.3, 1.0);
-  return RunClusterSimulation(request, policies, model);
-}
-
-void ExpectSameTrace(const Trace& skipped, const Trace& wrapped) {
-  ASSERT_EQ(skipped.events().size(), wrapped.events().size());
-  for (size_t i = 0; i < skipped.events().size(); ++i) {
-    const TraceEvent& a = skipped.events()[i];
-    const TraceEvent& b = wrapped.events()[i];
-    EXPECT_EQ(a.time_ms, b.time_ms) << "event " << i;
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
-    EXPECT_EQ(a.task_id, b.task_id) << "event " << i;
-    EXPECT_TRUE(a.point == b.point) << "event " << i;
-  }
-  ASSERT_EQ(skipped.segments().size(), wrapped.segments().size());
-  for (size_t i = 0; i < skipped.segments().size(); ++i) {
-    const TraceSegment& a = skipped.segments()[i];
-    const TraceSegment& b = wrapped.segments()[i];
-    EXPECT_EQ(a.start_ms, b.start_ms) << "segment " << i;
-    EXPECT_EQ(a.end_ms, b.end_ms) << "segment " << i;
-    EXPECT_EQ(a.state, b.state) << "segment " << i;
-    EXPECT_EQ(a.task_id, b.task_id) << "segment " << i;
-    EXPECT_TRUE(a.point == b.point) << "segment " << i;
-  }
 }
 
 // The run with the real policies must match the run with `wrap` applied,
@@ -146,33 +64,13 @@ int CountEvents(const Trace& trace, TraceEventKind kind) {
 }
 
 SimRequest BaseRequest(int num_cores, TaskSet tasks) {
-  SimRequest request;
-  request.tasks = std::move(tasks);
-  request.cluster.num_cores = num_cores;
-  request.cluster.machine = MachineSpec::Machine1();
-  request.mode = MpMode::kGlobal;
-  request.options.horizon_ms = 400.0;
-  request.options.idle_level = 0.1;
-  request.options.switch_time_ms = 0.3;
-  request.options.record_trace = true;
-  request.options.seed = 11;
-  return request;
+  return GlobalRequest(num_cores, std::move(tasks), 0.3);
 }
 
 // Non-harmonic periods and a phase: idle intervals and preemptions under
 // every scheduler.
 TaskSet OneCoreTasks() {
   return TaskSet({{"a", 10.0, 2.0, 0.0}, {"b", 14.0, 3.0, 2.0}, {"c", 35.0, 5.0, 0.0}});
-}
-
-TaskSet FourCoreTasks() {
-  return TaskSet({{"a", 10.0, 4.0, 0.0},
-                  {"b", 14.0, 6.0, 2.0},
-                  {"c", 35.0, 12.0, 0.0},
-                  {"d", 20.0, 5.0, 1.0},
-                  {"e", 25.0, 9.0, 0.0},
-                  {"f", 8.0, 2.0, 3.0},
-                  {"g", 50.0, 15.0, 0.0}});
 }
 
 TEST(EventSkipTest, OneCore) {

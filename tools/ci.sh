@@ -211,6 +211,15 @@ stage_fuzz() {
   build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=5 \
     --policies=edf,rm,static_edf,static_rm,static_rm_exact --cores=1,2,4 \
     --max-tasks=64 --max-ms=30000 --repro-out="$out/repros-fixed-speed.txt"
+  # Replica campaign: the policies that observe events, on clusters only.
+  # In global mode cores whose policies replicate one another
+  # (DvsPolicy::IsReplicaOf) run each release and completion callback once
+  # per group, while the oracle calls every instance, so a wrong claim
+  # diverges here. interval is timer-driven and never joins a group. The MP
+  # campaigns above draw the paper's six, half of which ignore events.
+  build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=6 \
+    --policies=cc_edf,cc_rm,la_edf,interval --cores=2,3,4 \
+    --max-tasks=64 --max-ms=30000 --repro-out="$out/repros-replica.txt"
   # Self-check: with a historical bug injected into the reference, the same
   # campaign MUST report a divergence — otherwise the oracle went blind.
   if build-ci-plain/tools/rtdvs-fuzz --trials=150 --seed=7 \
