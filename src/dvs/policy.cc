@@ -26,26 +26,6 @@ void DvsPolicy::OnIdle(const PolicyContext& ctx, SpeedController& speed) {
   }
 }
 
-void DvsPolicy::ApplyEffects(const std::vector<PolicyEffect>& effects,
-                             SpeedController& speed) {
-  for (const PolicyEffect& effect : effects) {
-    switch (effect.kind) {
-      case PolicyEffect::Kind::kRequest:
-        RequestOperatingPoint(speed, effect.point);
-        break;
-      case PolicyEffect::Kind::kUtilizationSample:
-        RecordUtilizationSample(effect.value);
-        break;
-      case PolicyEffect::Kind::kSlackReclaimed:
-        RecordSlackReclaimed(effect.value);
-        break;
-      case PolicyEffect::Kind::kDeferral:
-        RecordDeferral(effect.value);
-        break;
-    }
-  }
-}
-
 namespace {
 
 // A factory for policy P constructed from the arguments kArgs.

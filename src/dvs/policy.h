@@ -20,6 +20,7 @@
 #include "src/dvs/policy_counters.h"
 #include "src/rt/scheduler.h"
 #include "src/rt/task.h"
+#include "src/util/check.h"
 
 namespace rtdvs {
 
@@ -75,8 +76,10 @@ class SpeedController {
   virtual const OperatingPoint& current() const = 0;
 };
 
-// One effect of a policy callback, in the form a replica group's leader
-// records it for the group's other members (DvsPolicy::IsReplicaOf).
+// One effect of a policy callback, a speed request or a counter effect, as
+// DvsPolicy records it in a bound effect log (set_effect_log). `value` is
+// the exact addend: floating-point addition is not associative, so two sums
+// agree bit for bit only when their addend sequences do.
 struct PolicyEffect {
   enum class Kind : uint8_t {
     kRequest,            // RequestOperatingPoint(point)
@@ -183,23 +186,24 @@ class DvsPolicy {
   // them into SimResult::policy_counters after a run.
   const PolicyCounters& counters() const { return counters_; }
 
-  // Effect recording: while a tap is bound, every counter mutation (all of
-  // which route through the protected helpers below) is appended to it in
-  // execution order, with the exact addend for double fields. Two policy
-  // implementations that must agree bit for bit (tests/dvs/
-  // la_edf_order_test.cc) compare their recorded sequences.
-  void set_counter_tap(std::vector<PolicyCounterEffect>* tap) { tap_ = tap; }
-
-  // Replica groups (IsReplicaOf): while a log is bound, every speed request
-  // and counter effect is also appended to it, in execution order. The
-  // counter tap above is independent of it.
+  // Effect recording: while a log is bound, every effect of this policy (a
+  // speed request or a counter effect) is appended to it in execution order,
+  // with the exact point or addend. A replica group's leader records into a
+  // log its host owns (Simulator::FormReplicaGroups); a caller may bind one
+  // on any other policy, and two implementations that must agree bit for bit
+  // (tests/dvs/policy_pair.h) compare their logs.
   void set_effect_log(std::vector<PolicyEffect>* log) { effect_log_ = log; }
+  const std::vector<PolicyEffect>* effect_log() const { return effect_log_; }
   // Makes the effects a replica recorded as if this policy had made them:
   // each request goes to `speed` and counts this policy's request and, if
   // `speed` was at another point, its transition; every other effect adds
   // the same addend to the same counters. The policy's own bookkeeping is
   // not touched.
-  void ApplyEffects(const std::vector<PolicyEffect>& effects, SpeedController& speed);
+  void ApplyEffects(const std::vector<PolicyEffect>& effects, SpeedController& speed) {
+    for (const PolicyEffect& effect : effects) {
+      Apply(effect, &speed);
+    }
+  }
 
  protected:
   // IsReplicaOf for a policy whose requests and counter effects follow from
@@ -210,69 +214,60 @@ class DvsPolicy {
   // and transition counts stay consistent with the engine's speed_switches
   // accounting: a transition is counted iff the requested point differs from
   // the current one.
-  void RequestOperatingPoint(SpeedController& speed,
-                             const OperatingPoint& point) {
-    Log({PolicyEffect::Kind::kRequest, 0, point});
-    CountOne(PolicyCounterField::kSpeedRequests,
-             counters_.speed_change_requests);
-    if (!(point == speed.current())) {
-      CountOne(PolicyCounterField::kSpeedTransitions,
-               counters_.speed_transitions);
-    }
-    speed.SetOperatingPoint(point);
+  void RequestOperatingPoint(SpeedController& speed, const OperatingPoint& point) {
+    Apply({PolicyEffect::Kind::kRequest, 0, point}, &speed);
   }
-
   // A utilization estimate was computed to select a frequency.
   void RecordUtilizationSample(double utilization) {
-    Log({PolicyEffect::Kind::kUtilizationSample, utilization, {}});
-    CountOne(PolicyCounterField::kUtilizationSamples,
-             counters_.utilization_samples);
-    AddTo(PolicyCounterField::kUtilizationSum, counters_.utilization_sum,
-          utilization);
+    Apply({PolicyEffect::Kind::kUtilizationSample, utilization, {}}, nullptr);
   }
-
   // ccEDF/ccRM: a completion finished under its WCET and handed `slack_ms`
   // back to the utilization estimate.
   void RecordSlackReclaimed(double slack_ms) {
-    Log({PolicyEffect::Kind::kSlackReclaimed, slack_ms, {}});
-    CountOne(PolicyCounterField::kSlackCompletions,
-             counters_.slack_completions);
-    AddTo(PolicyCounterField::kSlackReclaimedMs, counters_.slack_reclaimed_ms,
-          slack_ms);
+    Apply({PolicyEffect::Kind::kSlackReclaimed, slack_ms, {}}, nullptr);
   }
-
   // laEDF: one defer() pass pushed `deferred_ms` of work past the next
   // deadline in the system.
   void RecordDeferral(double deferred_ms) {
-    Log({PolicyEffect::Kind::kDeferral, deferred_ms, {}});
-    CountOne(PolicyCounterField::kDeferralDecisions,
-             counters_.deferral_decisions);
-    AddTo(PolicyCounterField::kWorkDeferredMs, counters_.work_deferred_ms,
-          deferred_ms);
+    Apply({PolicyEffect::Kind::kDeferral, deferred_ms, {}}, nullptr);
   }
 
   PolicyCounters counters_;
 
  private:
-  void Log(const PolicyEffect& effect) {
+  // The one fold of an effect: updates the counters it touches (an integer
+  // count, then a double sum), for a request sets `speed`, and logs it.
+  void Apply(const PolicyEffect& effect, SpeedController* speed) {
+    switch (effect.kind) {
+      case PolicyEffect::Kind::kRequest:
+        // The Record* helpers pass no controller. The CHECK also shows GCC's
+        // -O3 -Wnonnull that an inlined Record* call never reaches the lines
+        // below.
+        RTDVS_CHECK(speed != nullptr) << "a speed request needs a speed controller";
+        ++counters_.speed_change_requests;
+        if (!(effect.point == speed->current())) {
+          ++counters_.speed_transitions;
+        }
+        speed->SetOperatingPoint(effect.point);
+        break;
+      case PolicyEffect::Kind::kUtilizationSample:
+        ++counters_.utilization_samples;
+        counters_.utilization_sum += effect.value;
+        break;
+      case PolicyEffect::Kind::kSlackReclaimed:
+        ++counters_.slack_completions;
+        counters_.slack_reclaimed_ms += effect.value;
+        break;
+      case PolicyEffect::Kind::kDeferral:
+        ++counters_.deferral_decisions;
+        counters_.work_deferred_ms += effect.value;
+        break;
+    }
     if (effect_log_ != nullptr) {
       effect_log_->push_back(effect);
     }
   }
-  void CountOne(PolicyCounterField field, int64_t& slot) {
-    slot += 1;
-    if (tap_ != nullptr) {
-      tap_->push_back({field, 1.0});
-    }
-  }
-  void AddTo(PolicyCounterField field, double& slot, double addend) {
-    slot += addend;
-    if (tap_ != nullptr) {
-      tap_->push_back({field, addend});
-    }
-  }
 
-  std::vector<PolicyCounterEffect>* tap_ = nullptr;
   std::vector<PolicyEffect>* effect_log_ = nullptr;
 };
 

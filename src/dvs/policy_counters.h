@@ -72,30 +72,6 @@ struct PolicyCounters {
   friend bool operator==(const PolicyCounters&, const PolicyCounters&) = default;
 };
 
-// Which PolicyCounters field a recorded mutation touched. Only the fields a
-// uniprocessor policy callback can reach appear here: the MP-only fields
-// (migrations, admission_rejections) are maintained by the cluster host, not
-// by policy code, so they can never show up in a recorded effect stream.
-enum class PolicyCounterField : uint8_t {
-  kSpeedRequests,
-  kSpeedTransitions,
-  kSlackCompletions,
-  kSlackReclaimedMs,
-  kDeferralDecisions,
-  kWorkDeferredMs,
-  kUtilizationSamples,
-  kUtilizationSum,
-};
-
-// One recorded counter mutation: integer fields always increment by exactly
-// 1 (value is 1), double fields add `value`. Recorded per mutation, not as a
-// delta, because floating-point addition is not associative: two sums agree
-// bit for bit only when their addend sequences do.
-struct PolicyCounterEffect {
-  PolicyCounterField field;
-  double value = 0;
-};
-
 class JsonValue;
 
 // One shared serialization for sweep cells, rtdvs-sim --json, and MP slice

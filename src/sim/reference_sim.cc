@@ -864,6 +864,8 @@ MpSimResult RunReferenceClusterSimulation(const SimRequest& request,
   if (out.admitted) {
     out.cluster.policy_name = RefClusterPolicyName(policies);
     out.cluster.scheduler = kinds.front();
+    // The cluster contract reports migrations in the mergeable counters too.
+    out.cluster.policy_counters.migrations = out.migrations;
   }
   return out;
 }

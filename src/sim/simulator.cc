@@ -527,6 +527,10 @@ void Simulator::FormReplicaGroups() {
       if (leader.mirror == nullptr && !leader.timer_driven &&
           leader.policy != core.policy && core.policy->IsReplicaOf(*leader.policy)) {
         if (!leader.leads) {
+          // The host owns a leader's log; binding it would silently drop a
+          // log a caller bound.
+          RTDVS_CHECK(leader.policy->effect_log() == nullptr)
+              << "core " << l << " leads a replica group but its policy already has an effect log";
           leader.leads = true;
           leader.policy->set_effect_log(&leader.effects);
         }

@@ -88,6 +88,32 @@ bool ResultsAgree(const SimResult& production, const SimResult& reference,
   CheckNear(diffs, &agreed, "lower_bound_energy", production.lower_bound_energy,
             reference.lower_bound_energy);
 
+  const PolicyCounters& pc = production.policy_counters;
+  const PolicyCounters& rc = reference.policy_counters;
+  const struct {
+    const char* name;
+    int64_t production;
+    int64_t reference;
+  } counts[] = {
+      {"speed_change_requests", pc.speed_change_requests, rc.speed_change_requests},
+      {"speed_transitions", pc.speed_transitions, rc.speed_transitions},
+      {"slack_completions", pc.slack_completions, rc.slack_completions},
+      {"deferral_decisions", pc.deferral_decisions, rc.deferral_decisions},
+      {"utilization_samples", pc.utilization_samples, rc.utilization_samples},
+      {"migrations", pc.migrations, rc.migrations},
+      {"admission_rejections", pc.admission_rejections, rc.admission_rejections},
+  };
+  for (const auto& count : counts) {
+    CheckExact(diffs, &agreed, std::string("counters.") + count.name, count.production,
+               count.reference);
+  }
+  CheckNear(diffs, &agreed, "counters.slack_reclaimed_ms", pc.slack_reclaimed_ms,
+            rc.slack_reclaimed_ms);
+  CheckNear(diffs, &agreed, "counters.work_deferred_ms", pc.work_deferred_ms,
+            rc.work_deferred_ms);
+  CheckNear(diffs, &agreed, "counters.utilization_sum", pc.utilization_sum,
+            rc.utilization_sum);
+
   CheckExact(diffs, &agreed, "residency.size",
              static_cast<int64_t>(production.residency.size()),
              static_cast<int64_t>(reference.residency.size()));

@@ -15,7 +15,9 @@
 //   - energies, times and work must agree within 1e-9 absolute plus a tiny
 //     relative term (both engines use the same expression grouping, so the
 //     slack only absorbs accumulated rounding over long horizons);
-//   - per-point residency and per-task stats are compared the same way.
+//   - per-point residency and per-task stats are compared the same way;
+//   - the policy counters' integer fields agree exactly and their sums like
+//     the energies (diff fields "counters.<field>").
 //
 // Metamorphic properties are theorems about the production engine alone;
 // each is gated on the preconditions under which it actually is a theorem

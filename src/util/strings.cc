@@ -1,5 +1,6 @@
 #include "src/util/strings.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -62,7 +63,7 @@ std::optional<double> ParseDouble(std::string_view text) {
   }
   char* end = nullptr;
   double value = std::strtod(trimmed.c_str(), &end);
-  if (end != trimmed.c_str() + trimmed.size()) {
+  if (end != trimmed.c_str() + trimmed.size() || !std::isfinite(value)) {
     return std::nullopt;
   }
   return value;

@@ -21,6 +21,8 @@ std::string_view Trim(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 // Strict numeric parsers: the whole (trimmed) string must be consumed.
+// ParseDouble also rejects non-finite results ("nan", "inf", "1e400"), so
+// no input file or flag can carry one past its range checks.
 std::optional<double> ParseDouble(std::string_view text);
 std::optional<int64_t> ParseInt(std::string_view text);
 

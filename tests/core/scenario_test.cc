@@ -78,6 +78,16 @@ TEST(Scenario, ErrorsCarryLineNumbers) {
                 .find("unknown server option"),
             std::string::npos);
   EXPECT_NE(Err(ParseScenario("")).find("no tasks"), std::string::npos);
+  // A non-finite number is a parse error on its own line, never a run.
+  for (const char* line :
+       {"task t nan 1", "task t inf 1", "task t 1e400 1", "server cbs nan 1",
+        "server cbs 10 1 interarrival=nan", "task t 10 1 c=nan", "task t 10 1 uniform=nan,1",
+        "task t 10 1 uniform=0.2,nan", "task t 10 1 bimodal=nan,0.5",
+        "task t 10 1 bimodal=0.5,nan"}) {
+    EXPECT_NE(Err(ParseScenario(std::string("task a 10 1\n") + line + "\n")).find("line 2"),
+              std::string::npos)
+        << line;
+  }
 }
 
 TEST(Scenario, DemandModelSyntax) {

@@ -1,8 +1,8 @@
 // Drives a policy and a reference copy of it through the same callback
-// sequences and requires identical requested operating points and identical
-// counter effects (double addends compared bit for bit). The reference-copy
-// tests (la_edf_order_test.cc, cc_rm_order_test.cc) pin a rewritten policy
-// to the straightforward implementation it replaced.
+// sequences and requires identical effect logs: the same kinds in the same
+// order, the same requested points, and double addends equal bit for bit.
+// The reference-copy tests (la_edf_order_test.cc, cc_rm_order_test.cc) pin
+// a rewritten policy to the straightforward implementation it replaced.
 #ifndef TESTS_DVS_POLICY_PAIR_H_
 #define TESTS_DVS_POLICY_PAIR_H_
 
@@ -20,12 +20,8 @@ namespace rtdvs {
 class RecordingSpeed : public SpeedController {
  public:
   explicit RecordingSpeed(const OperatingPoint& initial) : current_(initial) {}
-  void SetOperatingPoint(const OperatingPoint& point) override {
-    current_ = point;
-    requests.push_back(point);
-  }
+  void SetOperatingPoint(const OperatingPoint& point) override { current_ = point; }
   const OperatingPoint& current() const override { return current_; }
-  std::vector<OperatingPoint> requests;
 
  private:
   OperatingPoint current_;
@@ -35,15 +31,28 @@ inline bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// Two effect logs are the same stream: kind, point and value bits agree at
+// every position.
+inline void ExpectSameEffects(const std::vector<PolicyEffect>& actual,
+                              const std::vector<PolicyEffect>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].kind, expected[i].kind) << "effect " << i;
+    EXPECT_TRUE(actual[i].point == expected[i].point) << "effect " << i;
+    EXPECT_TRUE(SameBits(actual[i].value, expected[i].value))
+        << "effect " << i << ": " << actual[i].value << " vs " << expected[i].value;
+  }
+}
+
 // Both policies side by side; every callback goes to both with the same
-// context and must produce the same requests and counter effects.
+// context and must record the same effects.
 template <typename Kept, typename Reference>
 class PolicyPair {
  public:
   explicit PolicyPair(const MachineSpec* machine)
       : kept_speed_(machine->max_point()), ref_speed_(machine->max_point()) {
-    kept_.set_counter_tap(&kept_effects_);
-    ref_.set_counter_tap(&ref_effects_);
+    kept_.set_effect_log(&kept_effects_);
+    ref_.set_effect_log(&ref_effects_);
   }
 
   enum class Call { kStart, kRelease, kCompletion, kIdle };
@@ -67,33 +76,19 @@ class PolicyPair {
         ref_.OnIdle(ctx, ref_speed_);
         break;
     }
-    ExpectSame();
+    ExpectSameEffects(kept_effects_, ref_effects_);
   }
 
   const OperatingPoint& kept_point() const { return kept_speed_.current(); }
   const Kept& kept() const { return kept_; }
 
  private:
-  void ExpectSame() {
-    ASSERT_EQ(kept_speed_.requests.size(), ref_speed_.requests.size());
-    for (size_t i = 0; i < kept_speed_.requests.size(); ++i) {
-      EXPECT_TRUE(kept_speed_.requests[i] == ref_speed_.requests[i]) << "request " << i;
-    }
-    ASSERT_EQ(kept_effects_.size(), ref_effects_.size());
-    for (size_t i = 0; i < kept_effects_.size(); ++i) {
-      EXPECT_EQ(kept_effects_[i].field, ref_effects_[i].field) << i;
-      EXPECT_TRUE(SameBits(kept_effects_[i].value, ref_effects_[i].value))
-          << "effect " << i << ": " << kept_effects_[i].value << " vs "
-          << ref_effects_[i].value;
-    }
-  }
-
   Kept kept_;
   Reference ref_;
   RecordingSpeed kept_speed_;
   RecordingSpeed ref_speed_;
-  std::vector<PolicyCounterEffect> kept_effects_;
-  std::vector<PolicyCounterEffect> ref_effects_;
+  std::vector<PolicyEffect> kept_effects_;
+  std::vector<PolicyEffect> ref_effects_;
 };
 
 // A context over `tasks` whose views hold only the given deadlines.

@@ -167,5 +167,39 @@ TEST(DifferentialTest, DetectsInjectedMissOrderingBug) {
   EXPECT_FALSE(faulty.agreed);
 }
 
+TEST(DifferentialTest, EachPolicyCounterIsCompared) {
+  // A result that differs from its copy only in one counter must disagree,
+  // and the diff must name that counter.
+  const SimResult base = RunDifferentialCase(PaperExampleCase("la_edf")).production.cores[0];
+  const struct {
+    const char* field;
+    int64_t PolicyCounters::*count;
+    double PolicyCounters::*sum;
+  } fields[] = {
+      {"counters.speed_change_requests", &PolicyCounters::speed_change_requests, nullptr},
+      {"counters.speed_transitions", &PolicyCounters::speed_transitions, nullptr},
+      {"counters.slack_completions", &PolicyCounters::slack_completions, nullptr},
+      {"counters.slack_reclaimed_ms", nullptr, &PolicyCounters::slack_reclaimed_ms},
+      {"counters.deferral_decisions", &PolicyCounters::deferral_decisions, nullptr},
+      {"counters.work_deferred_ms", nullptr, &PolicyCounters::work_deferred_ms},
+      {"counters.utilization_samples", &PolicyCounters::utilization_samples, nullptr},
+      {"counters.utilization_sum", nullptr, &PolicyCounters::utilization_sum},
+      {"counters.migrations", &PolicyCounters::migrations, nullptr},
+      {"counters.admission_rejections", &PolicyCounters::admission_rejections, nullptr},
+  };
+  for (const auto& f : fields) {
+    SimResult changed = base;
+    if (f.count != nullptr) {
+      changed.policy_counters.*f.count += 1;
+    } else {
+      changed.policy_counters.*f.sum += 1e-6;
+    }
+    std::vector<FieldDiff> diffs;
+    EXPECT_FALSE(ResultsAgree(changed, base, &diffs)) << f.field;
+    ASSERT_EQ(diffs.size(), 1u) << f.field << "\n" << DescribeDiffs(diffs);
+    EXPECT_EQ(diffs[0].field, f.field);
+  }
+}
+
 }  // namespace
 }  // namespace rtdvs

@@ -323,11 +323,11 @@ TEST(ReferenceGolden, ClustersBothModes) {
       "m1/partitioned runs=90 E0=107.24486572799992 Esum=81106.844655690933 idle_bug=6 miss_bug=3 #15d1cc388d22d0f1",
       "m1/global runs=90 E0=729.05906629744243 Esum=47881.919144403524 idle_bug=4 miss_bug=2 #f2d3b2d33d5d4407",
       "m2/partitioned runs=90 E0=356.5442568854142 Esum=127224.41505553412 idle_bug=7 miss_bug=2 #03afb641203c4206",
-      "m2/global runs=90 E0=12220.14133578683 Esum=231226.51187194814 idle_bug=6 miss_bug=3 #1166ea725a98c422",
+      "m2/global runs=90 E0=12220.14133578683 Esum=231226.51187194814 idle_bug=6 miss_bug=3 #0c5f2a81fae643cd",
       "m3/partitioned runs=90 E0=1686.0641213679921 Esum=260364.59750161911 idle_bug=5 miss_bug=2 #6b9d76d5dfd4ea6c",
-      "m3/global runs=90 E0=9059.5685239581326 Esum=287519.58959520439 idle_bug=6 miss_bug=2 #72818c0d96564b68",
+      "m3/global runs=90 E0=9059.5685239581326 Esum=287519.58959520439 idle_bug=6 miss_bug=2 #8adf4bd86b574a24",
       "m4/partitioned runs=90 E0=349.04331612866042 Esum=204899.72005158316 idle_bug=2 miss_bug=3 #89b04827fc5e5d10",
-      "m4/global runs=90 E0=4136.0570869068852 Esum=394347.36111991416 idle_bug=4 miss_bug=2 #644eb4532f4710fb",
+      "m4/global runs=90 E0=4136.0570869068852 Esum=394347.36111991416 idle_bug=4 miss_bug=2 #19ed5e3b46b3b5dc",
   });
 }
 

@@ -186,10 +186,10 @@ TEST(ReplicaTest, OneInstanceOnTwoCoresIsNotItsOwnReplica) {
   EXPECT_EQ(result.cluster.fastpath.event_callbacks, 2 * EventsPerCore(result));
 }
 
-TEST(ReplicaTest, CallerBoundCounterTapsRecordEveryEffect) {
-  // Core 0 leads and core 3 follows. A tap a caller binds on either must
-  // record exactly what the same core's policy records when every core runs
-  // every callback itself (the wrapped run, tapped on the inner policies).
+TEST(ReplicaTest, CallerBoundLogOnAFollowerRecordsEveryEffect) {
+  // Core 3 follows core 0. A log a caller binds on it must record exactly
+  // what the same core's policy records when every core runs every callback
+  // itself (the wrapped run, logged on the inner policy).
   for (const char* id : {"cc_edf", "la_edf"}) {
     SCOPED_TRACE(id);
     const SimRequest request = GlobalRequest(4, LightTasks(), kSwitchMs);
@@ -198,25 +198,25 @@ TEST(ReplicaTest, CallerBoundCounterTapsRecordEveryEffect) {
         MakeCorePolicies(ids, std::vector<bool>(4, false));
     std::vector<std::unique_ptr<DvsPolicy>> wrapped =
         MakeCorePolicies(ids, std::vector<bool>(4, true));
-    std::vector<PolicyCounterEffect> real_taps[2];
-    std::vector<PolicyCounterEffect> wrapped_taps[2];
-    const size_t tapped[2] = {0, 3};
-    for (int i = 0; i < 2; ++i) {
-      real[tapped[i]]->set_counter_tap(&real_taps[i]);
-      static_cast<ForwardingPolicy&>(*wrapped[tapped[i]]).inner().set_counter_tap(&wrapped_taps[i]);
-    }
+    std::vector<PolicyEffect> real_log;
+    std::vector<PolicyEffect> wrapped_log;
+    real[3]->set_effect_log(&real_log);
+    static_cast<ForwardingPolicy&>(*wrapped[3]).inner().set_effect_log(&wrapped_log);
     RunOn(request, real);
     RunOn(request, wrapped);
-    for (int i = 0; i < 2; ++i) {
-      SCOPED_TRACE(testing::Message() << "core " << tapped[i]);
-      EXPECT_GT(real_taps[i].size(), 100u);
-      ASSERT_EQ(real_taps[i].size(), wrapped_taps[i].size());
-      for (size_t e = 0; e < real_taps[i].size(); ++e) {
-        EXPECT_EQ(real_taps[i][e].field, wrapped_taps[i][e].field) << "effect " << e;
-        EXPECT_TRUE(SameBits(real_taps[i][e].value, wrapped_taps[i][e].value)) << "effect " << e;
-      }
-    }
+    EXPECT_GT(real_log.size(), 100u);
+    ExpectSameEffects(real_log, wrapped_log);
   }
+}
+
+TEST(ReplicaDeathTest, LeaderMustNotCarryACallerBoundLog) {
+  // The host owns a leader's log, so core 0 may not bring one of its own.
+  std::vector<std::unique_ptr<DvsPolicy>> policies =
+      MakeCorePolicies({"la_edf", "la_edf"}, std::vector<bool>(2, false));
+  std::vector<PolicyEffect> log;
+  policies[0]->set_effect_log(&log);
+  EXPECT_DEATH(RunOn(GlobalRequest(2, LightTasks(), kSwitchMs), policies),
+               "leads a replica group");
 }
 
 TEST(ReplicaTest, OnlyTheObservingPaperPoliciesClaimTheTrait) {

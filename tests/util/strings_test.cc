@@ -50,6 +50,10 @@ TEST(ParseDouble, AcceptsNumbersRejectsJunk) {
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("abc").has_value());
   EXPECT_FALSE(ParseDouble("1 2").has_value());
+  EXPECT_FALSE(ParseDouble("nan").has_value());
+  EXPECT_FALSE(ParseDouble("inf").has_value());
+  EXPECT_FALSE(ParseDouble("-inf").has_value());
+  EXPECT_FALSE(ParseDouble("1e400").has_value());
 }
 
 TEST(ParseInt, AcceptsIntegersRejectsJunk) {

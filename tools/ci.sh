@@ -215,8 +215,10 @@ stage_fuzz() {
   # In global mode cores whose policies replicate one another
   # (DvsPolicy::IsReplicaOf) run each release and completion callback once
   # per group, while the oracle calls every instance, so a wrong claim
-  # diverges here. interval is timer-driven and never joins a group. The MP
-  # campaigns above draw the paper's six, half of which ignore events.
+  # diverges here; the policy counters are compared too, so does a follower
+  # that miscounts its requests or transitions. interval is timer-driven and
+  # never joins a group. The MP campaigns above draw the paper's six, half
+  # of which ignore events.
   build-ci-plain/tools/rtdvs-fuzz --trials=1000 --seed=6 \
     --policies=cc_edf,cc_rm,la_edf,interval --cores=2,3,4 \
     --max-tasks=64 --max-ms=30000 --repro-out="$out/repros-replica.txt"
